@@ -2,7 +2,8 @@
 # Tier-1 verification: build everything, run the full unit-test suite,
 # then rebuild the base simulation library with AddressSanitizer +
 # UndefinedBehaviorSanitizer (cmake -DVMP_SANITIZE=address,undefined)
-# and rerun the core tests under it. Fails on the first error.
+# and rerun the core tests under it: the event kernel, cache, memory
+# system, hot-path gates and artifacts. Fails on the first error.
 #
 # Usage: scripts/tier1.sh [build-dir] [sanitize-build-dir]
 set -e
@@ -22,11 +23,14 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" -LE torture
 echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
-    --target test_sim test_mem test_artifact bench_table1
+    --target test_sim test_cache test_mem test_hotpath test_artifact \
+    bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
+"$sanitize/tests/test_cache"
 "$sanitize/tests/test_mem"
+"$sanitize/tests/test_hotpath"
 "$sanitize/tests/test_artifact"
 
 echo "== tier1: OK =="

@@ -139,13 +139,16 @@ Cache::probe(Asid asid, Addr vaddr, bool write, bool supervisor) const
     const CacheTag tag = tagFor(asid, vaddr);
     const std::uint32_t set = setOf(vaddr);
     AccessResult res;
-    res.suggestedVictim = lruOf(set);
+    // The LRU scan is paid only on a miss, the one case that reads it.
+    const auto miss = [this, set, &res](MissKind kind) {
+        res.miss = kind;
+        res.suggestedVictim = lruOf(set);
+        return res;
+    };
 
     const auto way = findWay(set, tag);
-    if (!way) {
-        res.miss = MissKind::NoMatch;
-        return res;
-    }
+    if (!way)
+        return miss(MissKind::NoMatch);
     const SlotIndex idx = indexOf(set, *way);
     const Slot &s = slots_[idx];
     res.slot = idx;
@@ -154,14 +157,10 @@ Cache::probe(Asid asid, Addr vaddr, bool write, bool supervisor) const
         ? (!write || (s.flags & FlagSupWritable))
         : (write ? (s.flags & FlagUserWritable) != 0
                  : (s.flags & FlagUserReadable) != 0);
-    if (!perm_ok) {
-        res.miss = MissKind::Protection;
-        return res;
-    }
-    if (write && !s.exclusive()) {
-        res.miss = MissKind::WriteShared;
-        return res;
-    }
+    if (!perm_ok)
+        return miss(MissKind::Protection);
+    if (write && !s.exclusive())
+        return miss(MissKind::WriteShared);
     res.hit = true;
     return res;
 }

@@ -61,7 +61,10 @@ struct AccessResult
     MissKind miss = MissKind::None;
     /** Matching slot on hit (or protection/ownership miss). */
     std::optional<SlotIndex> slot;
-    /** Hardware-suggested victim slot for the referenced set. */
+    /**
+     * Hardware-suggested (LRU or invalid) victim slot for the referenced
+     * set. Valid only when !hit; a hit leaves it 0.
+     */
     SlotIndex suggestedVictim = 0;
 };
 

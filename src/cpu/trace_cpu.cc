@@ -107,8 +107,7 @@ TraceCpu::step()
         return;
     }
 
-    trace::MemRef ref;
-    if (!source_.next(ref)) {
+    if (!source_.next(pending_)) {
         running_ = false;
         exhausted_ = true;
         finishedAt_ = events_.now();
@@ -122,10 +121,12 @@ TraceCpu::step()
     }
 
     // Full-speed execution charge for this reference, then present it
-    // to the cache; a miss blocks us inside the controller.
-    events_.scheduleIn(timing_.refNs(), [this, ref] {
-        controller_.access(ref.asid, ref.vaddr, ref.isWrite(),
-                           ref.supervisor,
+    // to the cache; a miss blocks us inside the controller. The event
+    // captures only `this` so it fits std::function's inline buffer
+    // and a hit allocates nothing.
+    events_.scheduleIn(timing_.refNs(), [this] {
+        controller_.access(pending_.asid, pending_.vaddr,
+                           pending_.isWrite(), pending_.supervisor,
                            [this](proto::AccessOutcome) {
                                ++refs_;
                                step();

@@ -94,6 +94,12 @@ class TraceCpu
     bool halted_ = false;
     /** Trace fully replayed (distinguishes idle from halted-mid-run). */
     bool exhausted_ = false;
+    /**
+     * Reference the in-flight cpu-step presents. Only one step per CPU
+     * is ever scheduled: the next is scheduled once this one's access
+     * completes.
+     */
+    trace::MemRef pending_;
     Tick startedAt_ = 0;
     Tick finishedAt_ = 0;
     Counter refs_;

@@ -245,6 +245,7 @@ CacheController::failstop()
         cache_.invalidate(s);
     frames_.clear();
     slotFrame_.clear();
+    frameSlots_.clear();
     shadow_.clear();
     liveRetries_ = 0;
     VMP_DTRACE(debug::Recover, events_.now(), "cpu", cpuId_,
@@ -462,6 +463,23 @@ CacheController::missWithTranslation(const TranslateRequest &req,
 }
 
 void
+CacheController::bindSlot(cache::SlotIndex slot, std::uint64_t frame)
+{
+    const auto [it, fresh] = slotFrame_.try_emplace(slot, frame);
+    if (!fresh) {
+        if (it->second == frame)
+            return;
+        // Rebound without being forgotten: the old frame loses a slot;
+        // its FrameInfo is dropped only through forgetSlot.
+        const auto old = frameSlots_.find(it->second);
+        if (--old->second == 0)
+            frameSlots_.erase(old);
+        it->second = frame;
+    }
+    ++frameSlots_[frame];
+}
+
+void
 CacheController::forgetSlot(cache::SlotIndex slot)
 {
     const auto it = slotFrame_.find(slot);
@@ -470,11 +488,11 @@ CacheController::forgetSlot(cache::SlotIndex slot)
     const std::uint64_t frame = it->second;
     slotFrame_.erase(it);
     // Drop the frame bookkeeping once no slot caches it any more.
-    bool still_held = false;
-    for (const auto &[s, f] : slotFrame_)
-        still_held = still_held || f == frame;
-    if (!still_held)
+    const auto count = frameSlots_.find(frame);
+    if (--count->second == 0) {
+        frameSlots_.erase(count);
         frames_.erase(frame);
+    }
 }
 
 void
@@ -616,7 +634,7 @@ CacheController::issueFill(const TranslateRequest &req,
             if (cache_.config().storeData)
                 cache_.writeBytes(victim, 0, staging->data(),
                                   pageBytes());
-            slotFrame_[victim] = frame;
+            bindSlot(victim, frame);
             FrameInfo &info = frames_[frame];
             if (exclusive) {
                 info.state = FrameState::Private;
@@ -1263,9 +1281,7 @@ void
 CacheController::releaseProtection(Addr paddr, Done done)
 {
     const std::uint64_t frame = frameOf(paddr);
-    bool has_slots = false;
-    for (const auto &[slot, f] : slotFrame_)
-        has_slots = has_slots || f == frame;
+    const bool has_slots = frameSlots_.count(frame) != 0;
 
     const auto info_it = frames_.find(frame);
     if (info_it != frames_.end()) {

@@ -417,6 +417,8 @@ class CacheController
      *  continuation receives no arguments; bookkeeping is updated. */
     void retireVictim(cache::SlotIndex victim, Done done);
 
+    /** Record that @p slot now caches @p frame. */
+    void bindSlot(cache::SlotIndex slot, std::uint64_t frame);
     /** Remove @p slot from its frame's bookkeeping (if tracked). */
     void forgetSlot(cache::SlotIndex slot);
 
@@ -484,6 +486,12 @@ class CacheController
     std::unordered_map<std::uint64_t, FrameInfo> frames_;
     /** slot -> frame currently cached there (parallel to cache). */
     std::unordered_map<cache::SlotIndex, std::uint64_t> slotFrame_;
+    /**
+     * frame -> number of slotFrame_ entries naming it (absent when
+     * none), so an eviction learns in O(1) whether a frame is still
+     * cached. Changed only through bindSlot/forgetSlot.
+     */
+    std::unordered_map<std::uint64_t, std::uint32_t> frameSlots_;
     /** Software's shadow of the monitor's action table. */
     std::unordered_map<std::uint64_t, mem::ActionEntry> shadow_;
 

@@ -10,9 +10,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -24,20 +23,23 @@ struct EventId
 {
     Tick when = maxTick;
     std::uint64_t seq = 0;
+    /** Callback slot the event occupied when it was scheduled. */
+    std::uint32_t slot = 0;
 
     bool valid() const { return when != maxTick; }
     void invalidate() { when = maxTick; }
-
-    bool
-    operator<(const EventId &other) const
-    {
-        return when != other.when ? when < other.when : seq < other.seq;
-    }
 };
 
 /**
  * Discrete-event queue. Not thread-safe: the whole simulator is single
  * threaded by design (the modelled concurrency lives in simulated time).
+ *
+ * Pending events live in a binary min-heap of (tick, seq, slot) keys
+ * ordered by (tick, seq); their callbacks live in a slab of reusable
+ * slots. Neither structure allocates once it has grown to the
+ * simulation's peak number of pending events. Cancelling an event frees
+ * its slot at once and leaves its heap key behind; dispatch skips keys
+ * whose slot no longer carries the same seq.
  */
 class EventQueue
 {
@@ -47,29 +49,29 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Number of pending events. */
-    std::size_t pending() const { return events_.size(); }
+    /** Number of pending (scheduled, not yet run or cancelled) events. */
+    std::size_t pending() const { return slots_.size() - free_.size(); }
 
     /** Total number of events dispatched so far. */
     std::uint64_t dispatched() const { return dispatched_; }
 
     /**
      * Schedule @p cb at absolute time @p when (>= now). Returns a handle
-     * usable with deschedule().
+     * usable with deschedule(). @p name only labels panic messages.
      */
-    EventId schedule(Tick when, Callback cb, std::string name = {});
+    EventId schedule(Tick when, Callback cb, const char *name = "");
 
     /** Schedule @p cb @p delta ticks from now. */
     EventId
-    scheduleIn(Tick delta, Callback cb, std::string name = {})
+    scheduleIn(Tick delta, Callback cb, const char *name = "")
     {
-        return schedule(now_ + delta, std::move(cb), std::move(name));
+        return schedule(now_ + delta, std::move(cb), name);
     }
 
     /**
      * Remove a previously scheduled event. Returns true if the event was
-     * still pending (and is now cancelled), false if it already ran or
-     * the id is invalid.
+     * still pending (and is now cancelled), false if it already ran, was
+     * already cancelled or the id is invalid. Always invalidates @p id.
      */
     bool deschedule(EventId &id);
 
@@ -86,16 +88,50 @@ class EventQueue
     void reset();
 
   private:
-    struct Entry
+    /** Heap key of one scheduled event. */
+    struct Key
     {
-        Callback cb;
-        std::string name;
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t slot;
     };
 
+    struct Slot
+    {
+        Callback cb;
+        /** Seq of the event holding the slot; freeSeq when free. */
+        std::uint64_t seq;
+    };
+
+    static constexpr std::uint64_t freeSeq = ~std::uint64_t{0};
+
+    /** std's max-heap over "later" keeps the earliest key on top. */
+    struct Later
+    {
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    /** False once the key's event ran or was cancelled. */
+    bool live(const Key &key) const { return slots_[key.slot].seq == key.seq; }
+    /** Live event at the top of the heap (stale keys dropped), or null. */
+    const Key *head();
+    void popHeap();
+    void release(std::uint32_t slot);
+
     Tick now_ = 0;
+    /**
+     * Never reset, so a handle from before reset() cannot match an
+     * event scheduled after it.
+     */
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;
-    std::map<EventId, Entry> events_;
+    std::vector<Key> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;
 };
 
 } // namespace vmp

@@ -1,0 +1,177 @@
+/**
+ * @file
+ * Deterministic gates on the per-reference hot path: the event-driven
+ * machine's hit path allocates (almost) nothing, and the miss victim
+ * the cache computes only on a miss equals its LRU suggestion. The
+ * binary replaces the global operator new to count heap allocations.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "cache/cache.hh"
+#include "core/system.hh"
+#include "sim/logging.hh"
+#include "trace/synthetic.hh"
+#include "trace/trace_io.hh"
+#include "trace/workloads.hh"
+
+namespace
+{
+
+bool counting = false;
+std::uint64_t allocations = 0;
+
+} // namespace
+
+// The array, nothrow and sized forms of the standard library forward
+// to these, so every ordinary allocation is counted exactly once.
+void *
+operator new(std::size_t bytes)
+{
+    if (counting)
+        ++allocations;
+    if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace vmp
+{
+namespace
+{
+
+/** Counts heap allocations made while in scope. */
+class CountAllocations
+{
+  public:
+    CountAllocations() : start_(allocations) { counting = true; }
+    ~CountAllocations() { counting = false; }
+    CountAllocations(const CountAllocations &) = delete;
+    CountAllocations &operator=(const CountAllocations &) = delete;
+
+    std::uint64_t count() const { return allocations - start_; }
+
+  private:
+    std::uint64_t start_;
+};
+
+TEST(HotPath, FlatHitPathAllocatesAlmostNothing)
+{
+    // Four atum2 CPUs with private kernel images on 256 KiB caches:
+    // about 0.3% of references miss, so the count is the hit path's.
+    // The traces are materialized first so only the machine counts.
+    setInformEnabled(false);
+    constexpr std::uint32_t cpus = 4;
+    constexpr std::uint64_t refs_per_cpu = 200'000;
+    core::VmpConfig cfg;
+    cfg.processors = cpus;
+    cfg.cache = cache::CacheConfig::forSize(KiB(256), 512, 4, true);
+    cfg.memBytes = MiB(8);
+    core::VmpSystem sys(cfg);
+
+    std::vector<std::unique_ptr<trace::VectorRefSource>> owned;
+    std::vector<trace::RefSource *> sources;
+    for (std::uint32_t i = 0; i < cpus; ++i) {
+        auto workload = trace::workloadConfig("atum2");
+        workload.totalRefs = refs_per_cpu;
+        workload.seed = 1000 + i;
+        workload.asidBase = static_cast<Asid>(1 + i * 8);
+        workload.kernelOffset = static_cast<Addr>(i) * 0x20'0000;
+        trace::SyntheticGen gen(workload);
+        std::vector<trace::MemRef> refs;
+        trace::MemRef ref;
+        while (gen.next(ref))
+            refs.push_back(ref);
+        owned.push_back(
+            std::make_unique<trace::VectorRefSource>(std::move(refs)));
+        sources.push_back(owned.back().get());
+    }
+
+    core::RunResult r;
+    std::uint64_t allocs = 0;
+    {
+        const CountAllocations counter;
+        r = sys.runTraces(sources);
+        allocs = counter.count();
+    }
+    ASSERT_EQ(r.totalRefs, cpus * refs_per_cpu);
+    const double per_ref =
+        static_cast<double>(allocs) / static_cast<double>(r.totalRefs);
+    EXPECT_LE(per_ref, 0.1) << allocs << " allocations for "
+                            << r.totalRefs << " references ("
+                            << r.totalMisses << " misses)";
+}
+
+TEST(HotPath, MissVictimMatchesLruSuggestion)
+{
+    // The Figure-4 geometries over the four ATUM-like traces. Read
+    // misses fill a shared, user-read-only page, so later writes take
+    // Protection and WriteShared misses as well as tag misses; every
+    // miss's suggested victim must be the hardware LRU choice.
+    std::uint64_t kinds[4] = {};
+    for (const std::uint64_t size : {KiB(64), KiB(128), KiB(256)}) {
+        for (const std::uint32_t page : {128u, 256u, 512u}) {
+            for (auto workload : trace::allWorkloads()) {
+                workload.totalRefs = 20'000;
+                cache::Cache cache(
+                    cache::CacheConfig::forSize(size, page, 4, false));
+                trace::SyntheticGen gen(workload);
+                trace::MemRef ref;
+                while (gen.next(ref)) {
+                    for (;;) {
+                        const auto res =
+                            cache.access(ref.asid, ref.vaddr,
+                                         ref.isWrite(), ref.supervisor);
+                        if (res.hit)
+                            break;
+                        ++kinds[static_cast<int>(res.miss)];
+                        ASSERT_EQ(res.suggestedVictim,
+                                  cache.victimFor(ref.vaddr))
+                            << cache.config().toString() << " va 0x"
+                            << std::hex << ref.vaddr;
+                        if (res.miss == cache::MissKind::NoMatch) {
+                            cache.fill(res.suggestedVictim,
+                                       cache.tagFor(ref.asid, ref.vaddr),
+                                       static_cast<cache::SlotFlags>(
+                                           cache::FlagSupWritable |
+                                           cache::FlagUserReadable));
+                            continue;
+                        }
+                        const cache::SlotFlags granted =
+                            res.miss == cache::MissKind::Protection
+                            ? cache::FlagUserWritable
+                            : cache::FlagExclusive;
+                        cache.setFlags(*res.slot,
+                                       static_cast<cache::SlotFlags>(
+                                           cache.slot(*res.slot).flags |
+                                           granted));
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(kinds[static_cast<int>(cache::MissKind::NoMatch)], 0u);
+    EXPECT_GT(kinds[static_cast<int>(cache::MissKind::Protection)], 0u);
+    EXPECT_GT(kinds[static_cast<int>(cache::MissKind::WriteShared)], 0u);
+}
+
+} // namespace
+} // namespace vmp

@@ -129,6 +129,161 @@ TEST(EventQueue, ResetClearsEverything)
     EXPECT_EQ(eq.now(), 0u);
 }
 
+TEST(EventQueue, DescheduleAfterDispatchReturnsFalse)
+{
+    EventQueue eq;
+    int ran = 0;
+    EventId id = eq.schedule(10, [&] { ++ran; });
+    eq.run();
+    EXPECT_EQ(ran, 1);
+    EXPECT_FALSE(eq.deschedule(id));
+    EXPECT_FALSE(id.valid());
+}
+
+TEST(EventQueue, StaleHandleDoesNotCancelSlotReuser)
+{
+    // Cancelling frees the first event's slot; the second event reuses
+    // it. The first handle (copied before cancelling, so still valid)
+    // must not reach the newer event.
+    EventQueue eq;
+    bool first = false, second = false;
+    EventId id = eq.schedule(10, [&] { first = true; });
+    EventId stale = id;
+    EXPECT_TRUE(eq.deschedule(id));
+    EventId reuser = eq.schedule(10, [&] { second = true; });
+    EXPECT_EQ(reuser.slot, stale.slot);
+    EXPECT_FALSE(eq.deschedule(stale));
+    EXPECT_EQ(eq.pending(), 1u);
+
+    // The same after the slot's event ran rather than being cancelled.
+    eq.run();
+    EventId ran_handle = reuser;
+    eq.schedule(20, [&] { first = true; });
+    EXPECT_FALSE(eq.deschedule(ran_handle));
+    eq.run();
+    EXPECT_TRUE(first);
+    EXPECT_TRUE(second);
+}
+
+TEST(EventQueue, PendingExcludesCancelledEvents)
+{
+    EventQueue eq;
+    std::vector<EventId> ids;
+    for (Tick t = 1; t <= 5; ++t)
+        ids.push_back(eq.schedule(t * 10, [] {}));
+    EXPECT_EQ(eq.pending(), 5u);
+    EXPECT_TRUE(eq.deschedule(ids[1]));
+    EXPECT_TRUE(eq.deschedule(ids[3]));
+    EXPECT_EQ(eq.pending(), 3u);
+    // The cancelled events' heap keys are still queued; dispatch skips
+    // them and pending() never counts them.
+    eq.run(20);
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.run();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.dispatched(), 3u);
+}
+
+TEST(EventQueue, RunLimitIgnoresCancelledHead)
+{
+    // The earliest key is cancelled; run(limit) must not dispatch the
+    // next live event, which lies beyond the limit.
+    EventQueue eq;
+    bool late = false;
+    EventId early = eq.schedule(10, [] {});
+    eq.schedule(100, [&] { late = true; });
+    EXPECT_TRUE(eq.deschedule(early));
+    eq.run(50);
+    EXPECT_FALSE(late);
+    EXPECT_EQ(eq.now(), 50u);
+    EXPECT_EQ(eq.dispatched(), 0u);
+}
+
+TEST(EventQueue, ManyEventsAtOneTickKeepInsertionOrder)
+{
+    // Ten thousand same-tick events, with every third cancelled and
+    // slots reused by later ones, still fire in insertion order.
+    constexpr int n = 10'000;
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<int> expected;
+    std::vector<EventId> cancel;
+    for (int i = 0; i < n; ++i) {
+        const EventId id =
+            eq.schedule(100, [&order, i] { order.push_back(i); });
+        if (i % 3 == 0)
+            cancel.push_back(id);
+        else
+            expected.push_back(i);
+        // Cancel in batches so freed slots are reused by later events.
+        if (cancel.size() == 50) {
+            for (EventId &c : cancel)
+                EXPECT_TRUE(eq.deschedule(c));
+            cancel.clear();
+        }
+    }
+    for (EventId &c : cancel)
+        EXPECT_TRUE(eq.deschedule(c));
+    EXPECT_EQ(eq.pending(), expected.size());
+    eq.run();
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(eq.now(), 100u);
+}
+
+TEST(EventQueue, MassCancellationKeepsOrder)
+{
+    // Far more cancelled than live events: the queue drops cancelled
+    // keys in bulk along the way, and the live events still fire in
+    // (tick, insertion) order.
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 20; ++i) {
+        eq.schedule(1000 - (i % 4) * 100,
+                    [&order, i] { order.push_back(i); });
+        for (int j = 0; j < 50; ++j) {
+            EventId doomed = eq.schedule(5000 + j, [&order] {
+                order.push_back(-1);
+            });
+            EXPECT_TRUE(eq.deschedule(doomed));
+        }
+    }
+    EXPECT_EQ(eq.pending(), 20u);
+    eq.run();
+    std::vector<int> expected;
+    for (int residue = 3; residue >= 0; --residue) {
+        for (int i = residue; i < 20; i += 4)
+            expected.push_back(i);
+    }
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(eq.dispatched(), 20u);
+}
+
+TEST(EventQueue, ReusableAfterReset)
+{
+    EventQueue eq;
+    int before = 0, after = 0;
+    EventId old = eq.schedule(10, [&] { ++before; });
+    eq.schedule(20, [&] { ++before; });
+    eq.run(15);
+    eq.reset();
+    EXPECT_EQ(eq.dispatched(), 0u);
+
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i)
+        eq.schedule(5, [&order, i] { order.push_back(i); });
+    EventId fresh = eq.schedule(10, [&] { ++after; });
+    // A handle from before the reset matches nothing after it.
+    EXPECT_FALSE(eq.deschedule(old));
+    EXPECT_EQ(eq.pending(), 4u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(before, 1);
+    EXPECT_EQ(after, 1);
+    EXPECT_EQ(eq.dispatched(), 4u);
+    EXPECT_EQ(eq.now(), 10u);
+    EXPECT_FALSE(eq.deschedule(fresh));
+}
+
 // ----------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSeed)

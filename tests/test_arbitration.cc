@@ -15,8 +15,11 @@
 
 #include "core/hier_system.hh"
 #include "core/system.hh"
+#include "fault/injector.hh"
 #include "mem/vme_bus.hh"
+#include "recover/recovery.hh"
 #include "sim/event.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
@@ -375,6 +378,124 @@ TEST(FifoFingerprint, HierTwoByTwo)
     EXPECT_EQ(r.totalMisses, 952u);
     EXPECT_EQ(r.globalFetches, 522u);
     EXPECT_EQ(r.globalWriteBacks, 0u);
+}
+
+// Fault-path fingerprints: the same pinning for runs that exercise
+// board kill and hot rejoin, a wedge fenced and unfenced by the
+// recovery manager, frame checkpoints and the coherence checker, on
+// both machines. Any change to how either machine wires its boards
+// into faults, recovery or checkpoints moves these constants.
+
+/** One kill+rejoin of @p killed and one cleared MonitorWedge of
+ *  @p wedged, both driven through the fault schedule. */
+fault::FaultSchedule
+faultPathSchedule(std::uint32_t killed, std::uint32_t wedged)
+{
+    fault::FaultSchedule s;
+    s.crashBoard(killed, msec(2)).rejoinAt(msec(5));
+    s.wedgeMonitor(wedged, msec(1)).clearAt(msec(3));
+    return s;
+}
+
+recover::RecoveryConfig
+faultPathRecovery()
+{
+    recover::RecoveryConfig rc;
+    rc.detector.sweepPeriod = 32;
+    rc.detector.deadlineNs = 20'000;
+    rc.detector.unfenceCheckNs = 500'000;
+    rc.detector.unfenceChecks = 8;
+    return rc;
+}
+
+/** Shared-kernel atum2 sources (consistency traffic to strand). */
+std::vector<std::unique_ptr<trace::SyntheticGen>>
+sharedKernelSources(std::uint32_t cpus, std::uint64_t refs_per_cpu)
+{
+    std::vector<std::unique_ptr<trace::SyntheticGen>> gens;
+    for (std::uint32_t i = 0; i < cpus; ++i) {
+        auto workload = trace::workloadConfig("atum2");
+        workload.totalRefs = refs_per_cpu;
+        workload.seed = 1000 + i;
+        workload.asidBase = static_cast<Asid>(1 + i * 8);
+        gens.push_back(std::make_unique<trace::SyntheticGen>(workload));
+    }
+    return gens;
+}
+
+TEST(FaultPathFingerprint, FlatKillRejoinAndWedge)
+{
+    setInformEnabled(false);
+    core::VmpSystem sys(flatConfig(4, 16));
+    sys.enableFaultInjection(faultPathSchedule(3, 0));
+    sys.enableCoherenceChecker();
+    sys.enableFrameCheckpoint();
+    sys.enableRecovery(faultPathRecovery());
+    auto gens = sharedKernelSources(4, 10'000);
+    std::vector<trace::RefSource *> sources;
+    for (auto &g : gens)
+        sources.push_back(g.get());
+    const auto r = sys.runTraces(sources);
+    const Json stats = sys.statsJson();
+    const Json &recover = stats.get("recover");
+    EXPECT_EQ(r.elapsed, 15'513'492u);
+    EXPECT_EQ(r.totalRefs, 40'000u);
+    EXPECT_EQ(r.totalMisses, 1'157u);
+    EXPECT_EQ(r.busAborts, 294u);
+    EXPECT_EQ(sys.events().dispatched(), 47'927u);
+    EXPECT_EQ(recover.get("frames_reclaimed").asUint(), 17u);
+    EXPECT_EQ(recover.get("pages_lost").asUint(), 0u);
+    EXPECT_EQ(recover.get("boards_declared_dead").asUint(), 1u);
+    EXPECT_EQ(recover.get("boards_fenced").asUint(), 1u);
+    EXPECT_EQ(sys.coherenceChecker()->violations().value(), 0u);
+}
+
+TEST(FaultPathFingerprint, HierTwoByTwoKillRejoinAndWedge)
+{
+    setInformEnabled(false);
+    core::HierConfig cfg;
+    cfg.clusters = 2;
+    cfg.cpusPerCluster = 2;
+    cfg.cache = cache::CacheConfig::forSize(KiB(16), 256, 4, true);
+    cfg.memBytes = MiB(8);
+    core::HierVmpSystem sys(cfg);
+    sys.enableFaultInjection(faultPathSchedule(3, 0));
+    sys.enableCoherenceCheckers();
+    sys.enableFrameCheckpoint();
+    sys.enableRecovery(faultPathRecovery());
+    auto gens = sharedKernelSources(4, 10'000);
+    std::vector<trace::RefSource *> sources;
+    for (auto &g : gens)
+        sources.push_back(g.get());
+    const auto r = sys.runTraces(sources);
+    const Json stats = sys.statsJson();
+    EXPECT_EQ(r.elapsed, 22'529'703u);
+    EXPECT_EQ(r.totalRefs, 40'000u);
+    EXPECT_EQ(r.totalMisses, 1'202u);
+    EXPECT_EQ(r.busAborts, 704u);
+    EXPECT_EQ(sys.events().dispatched(), 62'075u);
+    const std::uint64_t want[][4] = {
+        // frames_reclaimed, pages_lost, declared dead, fenced
+        {7, 0, 0, 1},
+        {9, 0, 1, 0},
+    };
+    for (std::size_t k = 0; k < 2; ++k) {
+        const Json &recover =
+            stats.get("c" + std::to_string(k) + ".recover");
+        EXPECT_EQ(recover.get("frames_reclaimed").asUint(), want[k][0])
+            << "cluster " << k;
+        EXPECT_EQ(recover.get("pages_lost").asUint(), want[k][1])
+            << "cluster " << k;
+        EXPECT_EQ(recover.get("boards_declared_dead").asUint(),
+                  want[k][2])
+            << "cluster " << k;
+        EXPECT_EQ(recover.get("boards_fenced").asUint(), want[k][3])
+            << "cluster " << k;
+    }
+    const Json &global = stats.get("recover.global");
+    EXPECT_EQ(global.get("frames_reclaimed").asUint(), 0u);
+    EXPECT_EQ(global.get("pages_lost").asUint(), 0u);
+    EXPECT_EQ(sys.totalViolations(), 0u);
 }
 
 TEST(DisciplineSweep, PartitionedMissesAreDisciplineInvariant)

@@ -21,6 +21,8 @@
 #include "core/system.hh"
 #include "fault/injector.hh"
 #include "monitor/interrupt_fifo.hh"
+#include "obs/event_tracer.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
@@ -536,11 +538,57 @@ TEST(CoherenceChecker, InstallTwiceIsFatal)
     EXPECT_THROW(system.enableCoherenceChecker(), FatalError);
 }
 
+/**
+ * Group names in the order a stats dump prints them. Each dump line is
+ * "<group>.<stat> <value>"; it is attributed to the longest name in
+ * @p groups it starts with, and runs of one group collapse to one entry.
+ */
+std::vector<std::string>
+dumpedGroups(const std::string &dump, const std::vector<std::string> &groups)
+{
+    std::vector<std::string> order;
+    std::istringstream lines(dump);
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::string best;
+        for (const std::string &g : groups) {
+            if (line.compare(0, g.size() + 1, g + ".") == 0 &&
+                g.size() > best.size()) {
+                best = g;
+            }
+        }
+        if (order.empty() || order.back() != best)
+            order.push_back(best);
+    }
+    return order;
+}
+
+std::vector<std::string>
+jsonKeys(const Json &doc)
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : doc.members())
+        keys.push_back(key);
+    return keys;
+}
+
+std::vector<std::string>
+trackNames(const obs::EventTracer &tracer)
+{
+    std::vector<std::string> names;
+    for (std::size_t t = 0; t < tracer.trackCount(); ++t)
+        names.push_back(tracer.trackName(static_cast<std::uint16_t>(t)));
+    return names;
+}
+
 TEST(CoherenceChecker, StatsAppearInDumpAndJson)
 {
     core::VmpSystem system(smallConfig(2, 256));
     system.enableFaultInjection(tortureSchedule(0, 23));
     system.enableCoherenceChecker();
+    system.enableRecovery();
+    system.enableFrameCheckpoint();
+    const obs::EventTracer &tracer = system.enableTracing();
     auto gens = makeSources("atum2", 2, 4'000, 23);
     auto raw = rawSources(gens);
     system.runTraces(raw);
@@ -553,6 +601,16 @@ TEST(CoherenceChecker, StatsAppearInDumpAndJson)
     const std::string json = system.statsJson().dump();
     EXPECT_NE(json.find("\"check\""), std::string::npos);
     EXPECT_NE(json.find("\"fault\""), std::string::npos);
+
+    // Exact group and track naming, in registration order.
+    const std::vector<std::string> groups = {
+        "bus", "cpu0", "cpu1", "fault", "check", "recover", "backing",
+        "obs"};
+    EXPECT_EQ(jsonKeys(system.statsJson()), groups);
+    EXPECT_EQ(dumpedGroups(out, groups), groups);
+    EXPECT_EQ(trackNames(tracer),
+              (std::vector<std::string>{"bus", "cpu0", "cpu1",
+                                        "recover"}));
 }
 
 // ------------------------------------------------ livelock watchdog

@@ -15,9 +15,13 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/hier_system.hh"
+#include "fault/injector.hh"
+#include "obs/event_tracer.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
@@ -343,6 +347,14 @@ TEST(HierSystem, StatsMentionEveryLevel)
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
     core::HierVmpSystem system(cfg);
+    fault::FaultSchedule schedule;
+    schedule.seed = 41;
+    schedule.busAborts(0.01);
+    system.enableFaultInjection(schedule);
+    system.enableCoherenceCheckers();
+    system.enableRecovery();
+    system.enableFrameCheckpoint();
+    const obs::EventTracer &tracer = system.enableTracing();
 
     std::vector<std::unique_ptr<trace::SyntheticGen>> gens;
     std::vector<trace::RefSource *> sources;
@@ -366,6 +378,45 @@ TEST(HierSystem, StatsMentionEveryLevel)
     const auto text = json.dump();
     EXPECT_NE(text.find("\"c0.ibc\""), std::string::npos);
     EXPECT_NE(text.find("\"cpu3\""), std::string::npos);
+
+    // Exact group naming and order, identical in the JSON and the dump.
+    const std::vector<std::string> groups = {
+        "global_bus", "c0.bus", "c0.ibc", "cpu0", "cpu1", "c1.bus",
+        "c1.ibc", "cpu2", "cpu3", "fault", "c0.check", "c1.check",
+        "check.global", "c0.recover", "c1.recover", "recover.global",
+        "c0.backing", "c1.backing", "backing.global", "obs"};
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : json.members())
+        keys.push_back(key);
+    EXPECT_EQ(keys, groups);
+    // Each dump line is "<group>.<stat> <value>": attribute it to the
+    // longest group name it starts with, collapsing runs of one group.
+    std::vector<std::string> dumped;
+    std::istringstream lines(out);
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::string best;
+        for (const std::string &g : groups) {
+            if (line.compare(0, g.size() + 1, g + ".") == 0 &&
+                g.size() > best.size()) {
+                best = g;
+            }
+        }
+        if (dumped.empty() || dumped.back() != best)
+            dumped.push_back(best);
+    }
+    EXPECT_EQ(dumped, groups);
+
+    // Tracer tracks: global bus, then per cluster its bus, bridge and
+    // CPUs, then the shared recovery track.
+    std::vector<std::string> tracks;
+    for (std::size_t t = 0; t < tracer.trackCount(); ++t)
+        tracks.push_back(tracer.trackName(static_cast<std::uint16_t>(t)));
+    EXPECT_EQ(tracks,
+              (std::vector<std::string>{"global_bus", "c0.bus", "c0.ibc",
+                                        "cpu0", "cpu1", "c1.bus",
+                                        "c1.ibc", "cpu2", "cpu3",
+                                        "recover"}));
 }
 
 } // namespace

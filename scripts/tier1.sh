@@ -3,7 +3,9 @@
 # then rebuild the base simulation library with AddressSanitizer +
 # UndefinedBehaviorSanitizer (cmake -DVMP_SANITIZE=address,undefined)
 # and rerun the core tests under it: the event kernel, cache, memory
-# system, hot-path gates and artifacts. Fails on the first error.
+# system, hot-path gates, artifacts, both machines (flat and
+# hierarchical), telemetry and the fast recovery tests (the torture
+# matrix is left to its own job). Fails on the first error.
 #
 # Usage: scripts/tier1.sh [build-dir] [sanitize-build-dir]
 set -e
@@ -24,7 +26,7 @@ echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_cache test_mem test_hotpath test_artifact \
-    bench_table1
+    test_core test_hier test_telemetry test_recover bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
@@ -32,5 +34,9 @@ echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_mem"
 "$sanitize/tests/test_hotpath"
 "$sanitize/tests/test_artifact"
+"$sanitize/tests/test_core"
+"$sanitize/tests/test_hier"
+"$sanitize/tests/test_telemetry"
+"$sanitize/tests/test_recover" --gtest_filter=-*Torture*
 
 echo "== tier1: OK =="

@@ -92,7 +92,6 @@ class HierVmpSystem
      */
     explicit HierVmpSystem(const HierConfig &config,
                            proto::Translator *translator = nullptr);
-    ~HierVmpSystem(); // out of line: Cluster is incomplete here
 
     const HierConfig &config() const { return cfg_; }
     EventQueue &events() { return events_; }
@@ -105,33 +104,67 @@ class HierVmpSystem
     std::uint32_t cpusPerCluster() const { return cfg_.cpusPerCluster; }
     std::uint32_t totalCpus() const { return cfg_.totalCpus(); }
 
-    mem::VmeBus &localBus(std::size_t cluster);
-    const mem::VmeBus &localBus(std::size_t cluster) const;
-    mem::PhysMem &image(std::size_t cluster);
-    hier::InterBusBoard &interBusBoard(std::size_t cluster);
-    const hier::InterBusBoard &interBusBoard(std::size_t cluster) const;
+    mem::VmeBus &localBus(std::size_t cluster)
+    {
+        return clusters_[cluster].bus();
+    }
+    const mem::VmeBus &localBus(std::size_t cluster) const
+    {
+        return clusters_[cluster].bus();
+    }
+    mem::PhysMem &image(std::size_t cluster)
+    {
+        return clusters_[cluster].memory();
+    }
+    hier::InterBusBoard &interBusBoard(std::size_t cluster)
+    {
+        return *ibcs_[checkedCluster(cluster)];
+    }
+    const hier::InterBusBoard &interBusBoard(std::size_t cluster) const
+    {
+        return *ibcs_[checkedCluster(cluster)];
+    }
 
     /** Board/controller for the flat CPU index
      *  (cluster = index / cpusPerCluster). */
-    ProcessorBoard &board(std::size_t cpu);
-    const ProcessorBoard &board(std::size_t cpu) const;
-    proto::CacheController &controller(std::size_t cpu);
-    const proto::CacheController &controller(std::size_t cpu) const;
+    ProcessorBoard &board(std::size_t cpu) { return clusters_.board(cpu); }
+    const ProcessorBoard &board(std::size_t cpu) const
+    {
+        return clusters_.board(cpu);
+    }
+    proto::CacheController &controller(std::size_t cpu)
+    {
+        return board(cpu).controller;
+    }
+    const proto::CacheController &controller(std::size_t cpu) const
+    {
+        return board(cpu).controller;
+    }
 
     /** One trace CPU per source, filled cluster-major; runs all to
      *  completion. */
-    HierRunResult runTraces(
-        const std::vector<trace::RefSource *> &sources);
+    HierRunResult runTraces(const std::vector<trace::RefSource *> &sources)
+    {
+        std::vector<std::unique_ptr<cpu::TraceCpu>> cpus;
+        return collect(clusters_.runTraces(sources, cpus));
+    }
 
     /** One scripted CPU per program (CPU i uses ASID i+1). */
     std::vector<std::unique_ptr<cpu::ProgramCpu>>
-    runPrograms(const std::vector<cpu::Program> &programs);
+    runPrograms(const std::vector<cpu::Program> &programs)
+    {
+        return clusters_.runPrograms(programs);
+    }
 
     HierRunResult collect(
         const std::vector<cpu::TraceCpu *> &cpus) const;
 
     /** Idle-processor interrupt service on every board. */
-    void attachIdleServicers();
+    void attachIdleServicers()
+    {
+        for (auto &cluster : clusters_)
+            cluster->attachIdleServicers();
+    }
 
     /**
      * Arm one fault injector over the whole hierarchy: global and
@@ -174,13 +207,16 @@ class HierVmpSystem
     void enableRecovery(recover::RecoveryConfig options = {});
 
     /** Per-cluster recovery manager (requires enableRecovery). */
-    recover::RecoveryManager &clusterRecovery(std::size_t cluster);
+    recover::RecoveryManager &clusterRecovery(std::size_t cluster)
+    {
+        return recoveryOf(cluster);
+    }
     /** True once enableRecovery() has run. */
     bool recoveryEnabled() const { return globalRecovery_ != nullptr; }
     const recover::RecoveryManager &
     clusterRecovery(std::size_t cluster) const
     {
-        return *clusterRecoveries_.at(cluster);
+        return recoveryOf(cluster);
     }
     /** Global-bus recovery manager, or null if none installed. */
     recover::RecoveryManager *globalRecovery()
@@ -234,9 +270,15 @@ class HierVmpSystem
      * monitor hardware keeps driving its cluster bus. Without
      * enableRecovery() its stale entries wedge the cluster.
      */
-    void killBoard(std::uint32_t cpu, Tick at);
+    void killBoard(std::uint32_t cpu, Tick at)
+    {
+        clusters_.of(cpu, "killBoard").killBoard(cpu, at);
+    }
     /** Hot-rejoin CPU board @p cpu at tick @p at (cold restart). */
-    void rejoinBoard(std::uint32_t cpu, Tick at);
+    void rejoinBoard(std::uint32_t cpu, Tick at)
+    {
+        clusters_.of(cpu, "rejoinBoard").rejoinBoard(cpu, at);
+    }
 
     /**
      * Failstop cluster @p cluster's inter-bus cache board at tick
@@ -276,40 +318,45 @@ class HierVmpSystem
 
     /** Livelock watchdog on every processor controller. */
     void setWatchdog(std::uint64_t maxRetries,
-                     proto::CacheController::WatchdogHandler handler = {});
+                     proto::CacheController::WatchdogHandler handler = {})
+    {
+        for (auto &cluster : clusters_)
+            cluster->setWatchdog(maxRetries, handler);
+    }
 
     /** gem5-style dump of every component's statistics. */
-    void dumpStats(std::ostream &os) const;
+    void dumpStats(std::ostream &os) const
+    {
+        statGroups().registry().dump(os);
+    }
     /** {"global_bus": {...}, "c0.bus": {...}, "c0.ibc": {...},
      *   "cpu0": {...}, ...} */
-    Json statsJson() const;
+    Json statsJson() const { return statGroups().registry().toJson(); }
 
   private:
-    struct Cluster;
-
-    /** Rejoin body (defers itself while the cluster is reclaiming). */
-    void doRejoin(std::uint32_t cpu);
-    /** Turn one scheduled partial-failure spec into onset/clear events. */
-    void armPartialFault(const fault::PartialFaultSpec &spec);
+    /** @p cluster, panicking past the last one. */
+    std::size_t checkedCluster(std::size_t cluster) const;
+    /** Cluster @p cluster's recovery manager; panics before
+     *  enableRecovery(). */
+    recover::RecoveryManager &recoveryOf(std::size_t cluster) const;
+    /** Every stat group, in dump and JSON order. */
+    StatGroups statGroups() const;
+    /** Wedge an inter-bus board's service pump per @p spec. */
+    void wedgeInterBusBoard(const fault::PartialFaultSpec &spec);
 
     HierConfig cfg_;
     EventQueue events_;
     mem::PhysMem memory_;
     mem::VmeBus globalBus_;
     std::unique_ptr<proto::DemandTranslator> ownedTranslator_;
-    proto::Translator *translator_;
-    std::vector<std::unique_ptr<Cluster>> clusters_;
+    /** Per cluster k: the image of memory its local bus fronts, its
+     *  boards, and its inter-bus board bridging onto the global bus. */
+    std::vector<std::unique_ptr<mem::PhysMem>> images_;
+    Clusters clusters_{"hier"};
+    std::vector<std::unique_ptr<hier::InterBusBoard>> ibcs_;
     std::unique_ptr<fault::FaultInjector> injector_;
-    std::vector<std::unique_ptr<check::CoherenceChecker>>
-        clusterCheckers_;
     std::unique_ptr<check::CoherenceChecker> globalChecker_;
-    std::vector<std::unique_ptr<recover::RecoveryManager>>
-        clusterRecoveries_;
     std::unique_ptr<recover::RecoveryManager> globalRecovery_;
-    std::vector<std::unique_ptr<backing::PageStore>>
-        clusterCheckpointStores_;
-    std::vector<std::unique_ptr<backing::FrameCheckpointer>>
-        clusterCheckpointers_;
     std::unique_ptr<backing::PageStore> globalCheckpointStore_;
     std::unique_ptr<backing::FrameCheckpointer> globalCheckpointer_;
     std::unique_ptr<backing::BudgetController> budget_;
@@ -317,8 +364,6 @@ class HierVmpSystem
     std::unique_ptr<obs::MissProfiler> profiler_;
     /** Track id recovery events land on (valid while tracer_ != null). */
     std::uint16_t recoverTrack_ = 0;
-    /** Raw CPU handles while runTraces is in flight. */
-    std::vector<cpu::TraceCpu *> activeCpus_;
 };
 
 } // namespace vmp::core

@@ -16,87 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "backing/checkpoint.hh"
-#include "backing/page_store.hh"
-#include "cache/cache.hh"
-#include "check/coherence_checker.hh"
-#include "cpu/program_cpu.hh"
-#include "cpu/timing.hh"
-#include "cpu/trace_cpu.hh"
-#include "fault/injector.hh"
-#include "mem/phys_mem.hh"
-#include "mem/vme_bus.hh"
-#include "monitor/bus_monitor.hh"
-#include "obs/event_tracer.hh"
-#include "obs/miss_profiler.hh"
-#include "proto/controller.hh"
-#include "proto/translator.hh"
-#include "recover/recovery.hh"
-#include "sim/event.hh"
+#include "core/cluster.hh"
 #include "sim/json.hh"
-#include "sim/stats.hh"
-#include "trace/ref.hh"
 
 namespace vmp::core
 {
 
-/** Whole-machine configuration. */
-struct VmpConfig
-{
-    /** Number of processor boards on the bus. */
-    std::uint32_t processors = 1;
-    /** Per-processor cache geometry (prototype: 256 KiB, 4-way). */
-    cache::CacheConfig cache{256, 4, 256, true};
-    /** Central memory size (prototype maximum: 8 MiB). */
-    std::uint64_t memBytes = MiB(8);
-    /** Bus and memory-board timing. */
-    mem::BusTiming busTiming{};
-    /** Bus arbitration discipline (default: plain FIFO). */
-    mem::ArbitrationConfig arbitration{};
-    /** Software miss-handler instruction budget. */
-    proto::SoftwareTiming swTiming{};
-    /** Processor execution rate. */
-    cpu::M68020Timing cpuTiming{};
-    /** Bus-monitor interrupt FIFO depth. */
-    std::size_t fifoCapacity = 128;
-
-    void check() const;
-};
-
-/** One processor board: cache + monitor + controller (+ CPU, if any). */
-struct ProcessorBoard
-{
-    ProcessorBoard(CpuId id, EventQueue &events, mem::VmeBus &bus,
-                   proto::Translator &translator,
-                   const VmpConfig &config);
-
-    cache::Cache cache;
-    monitor::BusMonitor monitor;
-    proto::CacheController controller;
-};
-
-/** Aggregate results of a run. */
-struct RunResult
-{
-    Tick elapsed = 0;
-    std::uint64_t totalRefs = 0;
-    std::uint64_t totalMisses = 0;
-    double missRatio = 0.0;
-    /** Mean per-processor performance, normalized (Figure 3 metric). */
-    double performance = 0.0;
-    /** Bus utilization over the run. */
-    double busUtilization = 0.0;
-    std::uint64_t busAborts = 0;
-    std::uint64_t writeBacks = 0;
-    /** Completed AssertOwnership transactions (upgrade misses); with
-     *  writeBacks and missRatio this is the measured
-     *  analytic::BusLoadProfile of the run. */
-    std::uint64_t busUpgrades = 0;
-
-    std::string toString() const;
-};
-
-/** The machine. */
+/** The machine: one cluster of boards on a bus over main memory. */
 class VmpSystem
 {
   public:
@@ -112,20 +38,35 @@ class VmpSystem
     const EventQueue &events() const { return events_; }
     mem::PhysMem &memory() { return memory_; }
     const mem::PhysMem &memory() const { return memory_; }
-    mem::VmeBus &bus() { return bus_; }
-    const mem::VmeBus &bus() const { return bus_; }
-    std::uint32_t processors() const;
-    ProcessorBoard &board(std::size_t index);
-    const ProcessorBoard &board(std::size_t index) const;
-    proto::CacheController &controller(std::size_t index);
-    const proto::CacheController &controller(std::size_t index) const;
+    mem::VmeBus &bus() { return cluster().bus(); }
+    const mem::VmeBus &bus() const { return cluster().bus(); }
+    std::uint32_t processors() const { return cfg_.processors; }
+    ProcessorBoard &board(std::size_t index)
+    {
+        return clusters_.board(index);
+    }
+    const ProcessorBoard &board(std::size_t index) const
+    {
+        return clusters_.board(index);
+    }
+    proto::CacheController &controller(std::size_t index)
+    {
+        return board(index).controller;
+    }
+    const proto::CacheController &controller(std::size_t index) const
+    {
+        return board(index).controller;
+    }
 
     /**
      * Attach one trace-driven CPU per source and run all of them to
      * completion (each stops when its source is exhausted).
      */
-    RunResult runTraces(
-        const std::vector<trace::RefSource *> &sources);
+    RunResult runTraces(const std::vector<trace::RefSource *> &sources)
+    {
+        std::vector<std::unique_ptr<cpu::TraceCpu>> cpus;
+        return collect(clusters_.runTraces(sources, cpus));
+    }
 
     /**
      * Attach one scripted CPU per program (CPU i uses ASID i+1) and
@@ -135,7 +76,10 @@ class VmpSystem
      * they own privately are unreachable to other masters otherwise.
      */
     std::vector<std::unique_ptr<cpu::ProgramCpu>>
-    runPrograms(const std::vector<cpu::Program> &programs);
+    runPrograms(const std::vector<cpu::Program> &programs)
+    {
+        return clusters_.runPrograms(programs);
+    }
 
     /** Collect aggregate statistics for the run so far. */
     RunResult collect(const std::vector<cpu::TraceCpu *> &cpus) const;
@@ -146,7 +90,7 @@ class VmpSystem
      * Use when driving controllers directly (no CPU models attached);
      * TraceCpu/ProgramCpu objects override these hooks while running.
      */
-    void attachIdleServicers();
+    void attachIdleServicers() { cluster().attachIdleServicers(); }
 
     /**
      * When using the internal demand translator: declare user pages
@@ -175,10 +119,16 @@ class VmpSystem
      * at quiescence. May be called at most once.
      */
     check::CoherenceChecker &
-    enableCoherenceChecker(check::CheckerOptions options = {});
+    enableCoherenceChecker(check::CheckerOptions options = {})
+    {
+        return cluster().enableChecker(options);
+    }
 
     /** The installed checker, or null if none. */
-    check::CoherenceChecker *coherenceChecker() { return checker_.get(); }
+    check::CoherenceChecker *coherenceChecker()
+    {
+        return cluster().checker();
+    }
 
     /**
      * Install the failstop-recovery subsystem: a FailureDetector over
@@ -190,13 +140,19 @@ class VmpSystem
      * once, before any traffic.
      */
     recover::RecoveryManager &
-    enableRecovery(recover::RecoveryConfig options = {});
+    enableRecovery(recover::RecoveryConfig options = {})
+    {
+        return cluster().enableRecovery(options);
+    }
 
     /** The installed recovery manager, or null if none. */
-    recover::RecoveryManager *recoveryManager() { return recovery_.get(); }
+    recover::RecoveryManager *recoveryManager()
+    {
+        return cluster().recovery();
+    }
     const recover::RecoveryManager *recoveryManager() const
     {
-        return recovery_.get();
+        return cluster().recovery();
     }
 
     /**
@@ -210,12 +166,15 @@ class VmpSystem
      * the reserved space id frames are keyed under. May be called at
      * most once, before any traffic.
      */
-    backing::PageStore &enableFrameCheckpoint(Asid asid = 0xFE);
+    backing::PageStore &enableFrameCheckpoint(Asid asid = 0xFE)
+    {
+        return cluster().enableFrameCheckpoint(asid);
+    }
 
     /** The installed checkpointer, or null if none. */
     backing::FrameCheckpointer *frameCheckpointer()
     {
-        return checkpointer_.get();
+        return cluster().checkpointer();
     }
 
     /**
@@ -251,7 +210,10 @@ class VmpSystem
      * access to the dead board's pages (surfaced as DeadOwnerErrors
      * when the controllers' deadOwnerTimeoutNs expires).
      */
-    void killBoard(std::uint32_t index, Tick at);
+    void killBoard(std::uint32_t index, Tick at)
+    {
+        clusters_.of(index, "killBoard").killBoard(index, at);
+    }
 
     /**
      * Hot-rejoin board @p index at tick @p at: the monitor is unmasked
@@ -259,7 +221,10 @@ class VmpSystem
      * resumes its trace. If a reclaim is in flight at @p at the rejoin
      * defers until it completes.
      */
-    void rejoinBoard(std::uint32_t index, Tick at);
+    void rejoinBoard(std::uint32_t index, Tick at)
+    {
+        clusters_.of(index, "rejoinBoard").rejoinBoard(index, at);
+    }
 
     /**
      * Configure the livelock watchdog on every controller: a starving
@@ -268,10 +233,16 @@ class VmpSystem
      * A cap of 0 disables the watchdog.
      */
     void setWatchdog(std::uint64_t maxRetries,
-                     proto::CacheController::WatchdogHandler handler = {});
+                     proto::CacheController::WatchdogHandler handler = {})
+    {
+        cluster().setWatchdog(maxRetries, handler);
+    }
 
     /** gem5-style dump of every component's statistics. */
-    void dumpStats(std::ostream &os) const;
+    void dumpStats(std::ostream &os) const
+    {
+        statGroups().registry().dump(os);
+    }
 
     /**
      * Aggregate every component's StatGroup into a StatRegistry and
@@ -279,33 +250,22 @@ class VmpSystem
      * (e.g. the bus arbitration queue-delay distribution) serialize
      * as objects with samples/mean/min/max/underflow/buckets.
      */
-    Json statsJson() const;
+    Json statsJson() const { return statGroups().registry().toJson(); }
 
   private:
-    /** Rejoin body (defers itself while a reclaim is in flight). */
-    void doRejoin(std::uint32_t index);
-    /** Turn one scheduled partial-failure spec into onset/clear events. */
-    void armPartialFault(const fault::PartialFaultSpec &spec);
+    Cluster &cluster() const { return clusters_[0]; }
+    /** Every stat group, in dump and JSON order. */
+    StatGroups statGroups() const;
 
     VmpConfig cfg_;
     EventQueue events_;
     mem::PhysMem memory_;
-    mem::VmeBus bus_;
     std::unique_ptr<proto::DemandTranslator> ownedTranslator_;
-    proto::Translator *translator_;
-    std::vector<std::unique_ptr<ProcessorBoard>> boards_;
+    /** Exactly one cluster, over main memory. */
+    Clusters clusters_{"system"};
     std::unique_ptr<fault::FaultInjector> injector_;
-    std::unique_ptr<check::CoherenceChecker> checker_;
-    std::unique_ptr<recover::RecoveryManager> recovery_;
-    std::unique_ptr<backing::PageStore> checkpointStore_;
-    std::unique_ptr<backing::FrameCheckpointer> checkpointer_;
     std::unique_ptr<obs::EventTracer> tracer_;
     std::unique_ptr<obs::MissProfiler> profiler_;
-    /** Raw CPU handles while runTraces is in flight (for kill/rejoin
-     *  events scheduled before or during the run). */
-    std::vector<cpu::TraceCpu *> activeCpus_;
-    /** Track id recovery events land on (valid while tracer_ != null). */
-    std::uint16_t recoverTrack_ = 0;
 };
 
 } // namespace vmp::core

@@ -186,6 +186,24 @@ inspectTier(const backing::MemoryTier &tier)
     return doc;
 }
 
+namespace
+{
+
+/** Add a "trace" summary of @p tracer to @p doc, if tracing is on. */
+void
+addTrace(Json &doc, const obs::EventTracer *tracer)
+{
+    if (tracer == nullptr)
+        return;
+    Json trace = Json::object();
+    trace["tracks"] = Json(std::uint64_t{tracer->trackCount()});
+    trace["events_recorded"] = Json(tracer->recorded());
+    trace["events_overwritten"] = Json(tracer->droppedOldest());
+    doc["trace"] = std::move(trace);
+}
+
+} // namespace
+
 Json
 inspectSystem(const core::VmpSystem &system)
 {
@@ -204,13 +222,7 @@ inspectSystem(const core::VmpSystem &system)
     if (const recover::RecoveryManager *recovery =
             system.recoveryManager())
         doc["recovery"] = inspectRecovery(*recovery);
-    if (const obs::EventTracer *tracer = system.tracer()) {
-        Json trace = Json::object();
-        trace["tracks"] = Json(std::uint64_t{tracer->trackCount()});
-        trace["events_recorded"] = Json(tracer->recorded());
-        trace["events_overwritten"] = Json(tracer->droppedOldest());
-        doc["trace"] = std::move(trace);
-    }
+    addTrace(doc, system.tracer());
     return doc;
 }
 
@@ -263,13 +275,7 @@ inspectSystem(const core::HierVmpSystem &system)
     if (const backing::BudgetController *budget =
             system.clusterBudget())
         doc["budget"] = inspectBudget(*budget);
-    if (const obs::EventTracer *tracer = system.tracer()) {
-        Json trace = Json::object();
-        trace["tracks"] = Json(std::uint64_t{tracer->trackCount()});
-        trace["events_recorded"] = Json(tracer->recorded());
-        trace["events_overwritten"] = Json(tracer->droppedOldest());
-        doc["trace"] = std::move(trace);
-    }
+    addTrace(doc, system.tracer());
     return doc;
 }
 

@@ -27,6 +27,20 @@ addFifoGauges(obs::GaugeSet &set, const std::string &group,
             static_cast<double>(fifo.dropped().value()));
 }
 
+/** Register collectGauges(system) as a provider on @p sink. */
+template <class System>
+void
+attachGauges(StreamingSink &sink, const System &system)
+{
+    sink.addGaugeProvider([&system](obs::GaugeSet &set) {
+        const obs::GaugeSet live = collectGauges(system);
+        for (const obs::GaugeGroup &group : live.groups()) {
+            for (const obs::Gauge &gauge : group.gauges)
+                set.add(group.name, gauge.name, gauge.value);
+        }
+    });
+}
+
 } // namespace
 
 void
@@ -143,26 +157,14 @@ void
 attachSystemGauges(StreamingSink &sink,
                    const core::VmpSystem &system)
 {
-    sink.addGaugeProvider([&system](obs::GaugeSet &set) {
-        const obs::GaugeSet live = collectGauges(system);
-        for (const obs::GaugeGroup &group : live.groups()) {
-            for (const obs::Gauge &gauge : group.gauges)
-                set.add(group.name, gauge.name, gauge.value);
-        }
-    });
+    attachGauges(sink, system);
 }
 
 void
 attachSystemGauges(StreamingSink &sink,
                    const core::HierVmpSystem &system)
 {
-    sink.addGaugeProvider([&system](obs::GaugeSet &set) {
-        const obs::GaugeSet live = collectGauges(system);
-        for (const obs::GaugeGroup &group : live.groups()) {
-            for (const obs::Gauge &gauge : group.gauges)
-                set.add(group.name, gauge.name, gauge.value);
-        }
-    });
+    attachGauges(sink, system);
 }
 
 } // namespace vmp::telemetry

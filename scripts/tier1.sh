@@ -3,9 +3,12 @@
 # then rebuild the base simulation library with AddressSanitizer +
 # UndefinedBehaviorSanitizer (cmake -DVMP_SANITIZE=address,undefined)
 # and rerun the core tests under it: the event kernel, cache, memory
-# system, hot-path gates, artifacts, both machines (flat and
-# hierarchical), telemetry and the fast recovery tests (the torture
-# matrix is left to its own job). Fails on the first error.
+# system, hot-path gates, artifacts, the consistency protocol (whose
+# write-backs copy out of the cache's page store), both machines (flat
+# and hierarchical), telemetry and the fast fault-injection (whose
+# checker compares cached pages with memory) and recovery tests (the
+# torture matrices are left to their own job). Fails on the first
+# error.
 #
 # Usage: scripts/tier1.sh [build-dir] [sanitize-build-dir]
 set -e
@@ -26,7 +29,8 @@ echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_cache test_mem test_hotpath test_artifact \
-    test_core test_hier test_telemetry test_recover bench_table1
+    test_proto test_core test_hier test_telemetry test_fault \
+    test_recover bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
@@ -34,9 +38,11 @@ echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_mem"
 "$sanitize/tests/test_hotpath"
 "$sanitize/tests/test_artifact"
+"$sanitize/tests/test_proto"
 "$sanitize/tests/test_core"
 "$sanitize/tests/test_hier"
 "$sanitize/tests/test_telemetry"
+"$sanitize/tests/test_fault" --gtest_filter=-*Torture*
 "$sanitize/tests/test_recover" --gtest_filter=-*Torture*
 
 echo "== tier1: OK =="

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -71,47 +72,11 @@ flagsToString(SlotFlags flags)
 Cache::Cache(const CacheConfig &config) : cfg_(config)
 {
     cfg_.check();
+    pageShift_ = log2i(cfg_.pageBytes);
+    setMask_ = cfg_.sets - 1;
     slots_.resize(cfg_.totalSlots());
-    if (cfg_.storeData) {
-        for (auto &s : slots_)
-            s.data.assign(cfg_.pageBytes, 0);
-    }
-}
-
-CacheTag
-Cache::tagFor(Asid asid, Addr vaddr) const
-{
-    return CacheTag{asid, vaddr / cfg_.pageBytes};
-}
-
-std::uint32_t
-Cache::setOf(Addr vaddr) const
-{
-    return static_cast<std::uint32_t>((vaddr / cfg_.pageBytes) %
-                                      cfg_.sets);
-}
-
-std::uint32_t
-Cache::offsetOf(Addr vaddr) const
-{
-    return static_cast<std::uint32_t>(vaddr % cfg_.pageBytes);
-}
-
-SlotIndex
-Cache::indexOf(std::uint32_t set, std::uint32_t way) const
-{
-    return set * cfg_.ways + way;
-}
-
-std::optional<std::uint32_t>
-Cache::findWay(std::uint32_t set, const CacheTag &tag) const
-{
-    for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
-        const Slot &s = slots_[indexOf(set, way)];
-        if (s.valid() && s.tag == tag)
-            return way;
-    }
-    return std::nullopt;
+    if (cfg_.storeData)
+        pages_.assign(cfg_.totalBytes(), 0);
 }
 
 SlotIndex
@@ -133,65 +98,13 @@ Cache::lruOf(std::uint32_t set) const
     return victim;
 }
 
-AccessResult
-Cache::probe(Asid asid, Addr vaddr, bool write, bool supervisor) const
-{
-    const CacheTag tag = tagFor(asid, vaddr);
-    const std::uint32_t set = setOf(vaddr);
-    AccessResult res;
-    // The LRU scan is paid only on a miss, the one case that reads it.
-    const auto miss = [this, set, &res](MissKind kind) {
-        res.miss = kind;
-        res.suggestedVictim = lruOf(set);
-        return res;
-    };
-
-    const auto way = findWay(set, tag);
-    if (!way)
-        return miss(MissKind::NoMatch);
-    const SlotIndex idx = indexOf(set, *way);
-    const Slot &s = slots_[idx];
-    res.slot = idx;
-
-    const bool perm_ok = supervisor
-        ? (!write || (s.flags & FlagSupWritable))
-        : (write ? (s.flags & FlagUserWritable) != 0
-                 : (s.flags & FlagUserReadable) != 0);
-    if (!perm_ok)
-        return miss(MissKind::Protection);
-    if (write && !s.exclusive())
-        return miss(MissKind::WriteShared);
-    res.hit = true;
-    return res;
-}
-
-AccessResult
-Cache::access(Asid asid, Addr vaddr, bool write, bool supervisor)
-{
-    AccessResult res = probe(asid, vaddr, write, supervisor);
-    if (res.hit) {
-        Slot &s = slots_[*res.slot];
-        s.lastUse = useClock_++;
-        if (write)
-            s.flags |= FlagModified;
-        ++hits_;
-    } else {
-        ++misses_;
-        if (res.miss == MissKind::WriteShared)
-            ++writeShared_;
-        else if (res.miss == MissKind::Protection)
-            ++protection_;
-    }
-    return res;
-}
-
 void
 Cache::fill(SlotIndex slot_index, const CacheTag &tag, SlotFlags flags)
 {
     if (slot_index >= slots_.size())
         panic("cache fill: slot ", slot_index, " out of range");
     // The tag must land in the set the hardware indexes it into.
-    if (tag.vpn % cfg_.sets != slot_index / cfg_.ways)
+    if ((tag.vpn & setMask_) != slot_index / cfg_.ways)
         panic("cache fill: tag vpn ", tag.vpn, " does not map to set ",
               slot_index / cfg_.ways);
     Slot &s = slots_[slot_index];
@@ -199,7 +112,7 @@ Cache::fill(SlotIndex slot_index, const CacheTag &tag, SlotFlags flags)
     s.flags = static_cast<SlotFlags>(flags | FlagValid);
     s.lastUse = useClock_++;
     if (cfg_.storeData)
-        std::fill(s.data.begin(), s.data.end(), 0);
+        std::memset(pageData(slot_index), 0, cfg_.pageBytes);
 }
 
 void
@@ -243,8 +156,7 @@ Cache::findAll(const CacheTag &tag) const
     // A given <asid, vpn> can only live in one set, but aliases (same
     // physical page under different virtual addresses) are found by the
     // software physical-to-slot tables, not here.
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(tag.vpn % cfg_.sets);
+    const auto set = static_cast<std::uint32_t>(tag.vpn & setMask_);
     for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
         const SlotIndex idx = indexOf(set, way);
         const Slot &s = slots_[idx];
@@ -260,28 +172,39 @@ Cache::victimFor(Addr vaddr) const
     return lruOf(setOf(vaddr));
 }
 
+std::uint8_t *
+Cache::pageData(SlotIndex slot_index)
+{
+    return const_cast<std::uint8_t *>(
+        std::as_const(*this).pageData(slot_index));
+}
+
+const std::uint8_t *
+Cache::pageData(SlotIndex slot_index) const
+{
+    if (!cfg_.storeData)
+        panic("cache page data without data storage");
+    if (slot_index >= slots_.size())
+        panic("cache page data: slot ", slot_index, " out of range");
+    return pages_.data() + std::size_t(slot_index) * cfg_.pageBytes;
+}
+
 void
 Cache::writeBytes(SlotIndex slot_index, std::uint32_t offset,
                   const void *src, std::uint32_t len)
 {
-    if (!cfg_.storeData)
-        panic("cache writeBytes without data storage");
-    Slot &s = slot(slot_index);
     if (offset + len > cfg_.pageBytes)
         panic("cache writeBytes: range beyond page");
-    std::memcpy(s.data.data() + offset, src, len);
+    std::memcpy(pageData(slot_index) + offset, src, len);
 }
 
 void
 Cache::readBytes(SlotIndex slot_index, std::uint32_t offset, void *dst,
                  std::uint32_t len) const
 {
-    if (!cfg_.storeData)
-        panic("cache readBytes without data storage");
-    const Slot &s = slot(slot_index);
     if (offset + len > cfg_.pageBytes)
         panic("cache readBytes: range beyond page");
-    std::memcpy(dst, s.data.data() + offset, len);
+    std::memcpy(dst, pageData(slot_index) + offset, len);
 }
 
 std::uint32_t

@@ -14,7 +14,6 @@
 #define VMP_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cache/config.hh"
@@ -27,20 +26,24 @@ namespace vmp::cache
 /** Dense identifier of a slot: set * ways + way. */
 using SlotIndex = std::uint32_t;
 
-/** One cache slot: tag, flags, LRU stamp and (optionally) data. */
+/**
+ * One cache slot: tag, flags and LRU stamp, 32 bytes, so a 4-way set
+ * spans two host cache lines. Page contents live in the cache's page
+ * store (Cache::pageData), not in the slot.
+ */
 struct Slot
 {
     CacheTag tag{};
     SlotFlags flags = 0;
     /** Monotonic last-use stamp for LRU victim suggestion. */
     std::uint64_t lastUse = 0;
-    /** Page contents when CacheConfig::storeData is set. */
-    std::vector<std::uint8_t> data;
 
     bool valid() const { return flags & FlagValid; }
     bool modified() const { return flags & FlagModified; }
     bool exclusive() const { return flags & FlagExclusive; }
 };
+
+static_assert(sizeof(Slot) == 32, "a 4-way set should span two lines");
 
 /** Why an access could not be satisfied by the cache. */
 enum class MissKind : std::uint8_t
@@ -59,8 +62,11 @@ struct AccessResult
 {
     bool hit = false;
     MissKind miss = MissKind::None;
-    /** Matching slot on hit (or protection/ownership miss). */
-    std::optional<SlotIndex> slot;
+    /**
+     * Matching slot. Valid on a hit or on a Protection/WriteShared
+     * miss; a NoMatch miss leaves it 0.
+     */
+    SlotIndex slot = 0;
     /**
      * Hardware-suggested (LRU or invalid) victim slot for the referenced
      * set. Valid only when !hit; a hit leaves it 0.
@@ -83,11 +89,25 @@ class Cache
     const CacheConfig &config() const { return cfg_; }
 
     /** Tag for a given <asid, vaddr>. */
-    CacheTag tagFor(Asid asid, Addr vaddr) const;
+    CacheTag
+    tagFor(Asid asid, Addr vaddr) const
+    {
+        return CacheTag{asid, vaddr >> pageShift_};
+    }
+
     /** Set index a virtual address maps to. */
-    std::uint32_t setOf(Addr vaddr) const;
+    std::uint32_t
+    setOf(Addr vaddr) const
+    {
+        return static_cast<std::uint32_t>((vaddr >> pageShift_) & setMask_);
+    }
+
     /** Byte offset of @p vaddr within its cache page. */
-    std::uint32_t offsetOf(Addr vaddr) const;
+    std::uint32_t
+    offsetOf(Addr vaddr) const
+    {
+        return static_cast<std::uint32_t>(vaddr & (cfg_.pageBytes - 1));
+    }
 
     /**
      * Present one reference. Updates LRU on hit. @p write requests write
@@ -97,7 +117,11 @@ class Cache
     AccessResult access(Asid asid, Addr vaddr, bool write,
                         bool supervisor);
 
-    /** Probe without updating LRU or counting stats. */
+    /**
+     * Probe without updating LRU or counting stats. The hit path is
+     * inline and computed in registers; the LRU scan is paid only on a
+     * miss, the one case that reads it.
+     */
     AccessResult probe(Asid asid, Addr vaddr, bool write,
                        bool supervisor) const;
 
@@ -119,6 +143,13 @@ class Cache
     /** Hardware LRU suggestion for the set containing @p vaddr. */
     SlotIndex victimFor(Addr vaddr) const;
 
+    /**
+     * A slot's page in the contiguous page store (totalSlots x
+     * pageBytes, allocated once). Panics without data storage.
+     */
+    std::uint8_t *pageData(SlotIndex slot);
+    const std::uint8_t *pageData(SlotIndex slot) const;
+
     /** Data plane: read/write bytes within a slot's page. */
     void writeBytes(SlotIndex slot, std::uint32_t offset,
                     const void *src, std::uint32_t len);
@@ -137,14 +168,24 @@ class Cache
     void registerStats(StatGroup &group) const;
 
   private:
-    SlotIndex indexOf(std::uint32_t set, std::uint32_t way) const;
-    /** Find the matching way in @p set, if any. */
-    std::optional<std::uint32_t> findWay(std::uint32_t set,
-                                         const CacheTag &tag) const;
-    SlotIndex lruOf(std::uint32_t set) const;
+    SlotIndex
+    indexOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return set * cfg_.ways + way;
+    }
+
+    /** The matching way in @p set, or cfg_.ways if none matches. */
+    std::uint32_t findWay(std::uint32_t set, const CacheTag &tag) const;
+    /** LRU (or first invalid) slot of @p set: miss path only. */
+    [[gnu::cold]] SlotIndex lruOf(std::uint32_t set) const;
 
     CacheConfig cfg_;
+    /** log2(pageBytes) and sets - 1: the geometry is a power of two. */
+    std::uint32_t pageShift_ = 0;
+    std::uint64_t setMask_ = 0;
     std::vector<Slot> slots_;
+    /** Page contents, slot-major, when CacheConfig::storeData is set. */
+    std::vector<std::uint8_t> pages_;
     std::uint64_t useClock_ = 1;
 
     Counter hits_;
@@ -152,6 +193,63 @@ class Cache
     Counter writeShared_;
     Counter protection_;
 };
+
+inline std::uint32_t
+Cache::findWay(std::uint32_t set, const CacheTag &tag) const
+{
+    const Slot *ways = slots_.data() + indexOf(set, 0);
+    for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
+        if (ways[way].valid() && ways[way].tag == tag)
+            return way;
+    }
+    return cfg_.ways;
+}
+
+inline AccessResult
+Cache::probe(Asid asid, Addr vaddr, bool write, bool supervisor) const
+{
+    const std::uint32_t set = setOf(vaddr);
+    const std::uint32_t way = findWay(set, tagFor(asid, vaddr));
+    AccessResult res;
+    if (way == cfg_.ways) {
+        res.miss = MissKind::NoMatch;
+    } else {
+        res.slot = indexOf(set, way);
+        const SlotFlags flags = slots_[res.slot].flags;
+        const bool perm_ok = supervisor
+            ? (!write || (flags & FlagSupWritable))
+            : (flags & (write ? FlagUserWritable : FlagUserReadable)) != 0;
+        if (!perm_ok)
+            res.miss = MissKind::Protection;
+        else if (write && !(flags & FlagExclusive))
+            res.miss = MissKind::WriteShared;
+        else
+            res.hit = true;
+    }
+    if (!res.hit)
+        res.suggestedVictim = lruOf(set);
+    return res;
+}
+
+inline AccessResult
+Cache::access(Asid asid, Addr vaddr, bool write, bool supervisor)
+{
+    const AccessResult res = probe(asid, vaddr, write, supervisor);
+    if (res.hit) {
+        Slot &s = slots_[res.slot];
+        s.lastUse = useClock_++;
+        if (write)
+            s.flags |= FlagModified;
+        ++hits_;
+    } else {
+        ++misses_;
+        if (res.miss == MissKind::WriteShared)
+            ++writeShared_;
+        else if (res.miss == MissKind::Protection)
+            ++protection_;
+    }
+    return res;
+}
 
 } // namespace vmp::cache
 

@@ -22,7 +22,10 @@ struct CacheConfig
 {
     /** Cache page ("block") size in bytes; prototype: 128/256/512. */
     std::uint32_t pageBytes = 256;
-    /** Associativity; the prototype supports 1 to 4 ways. */
+    /**
+     * Associativity, 1 to 16 ways (check() enforces it); the prototype
+     * supports 1 to 4.
+     */
     std::uint32_t ways = 4;
     /** Number of sets; the prototype supports 16 to 256 pages per way. */
     std::uint32_t sets = 256;

@@ -36,10 +36,7 @@ using SlotFlags = std::uint8_t;
 /** Readable rendering of a flag set, e.g. "V-M-E-SW-UR-UW". */
 std::string flagsToString(SlotFlags flags);
 
-/**
- * Cache tag: the <ASID, virtual page number> pair the cache matches on.
- * Packed so FastCacheSim can use it as a plain integer key.
- */
+/** Cache tag: the <ASID, virtual page number> pair the cache matches on. */
 struct CacheTag
 {
     Asid asid = 0;
@@ -47,12 +44,6 @@ struct CacheTag
     std::uint64_t vpn = 0;
 
     bool operator==(const CacheTag &other) const = default;
-
-    std::uint64_t
-    packed() const
-    {
-        return (static_cast<std::uint64_t>(asid) << 52) | vpn;
-    }
 };
 
 } // namespace vmp::cache

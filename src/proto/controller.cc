@@ -288,6 +288,14 @@ CacheController::pageBytes() const
     return cache_.config().pageBytes;
 }
 
+std::shared_ptr<std::vector<std::uint8_t>>
+CacheController::copyPage(cache::SlotIndex slot) const
+{
+    const std::uint8_t *page = cache_.pageData(slot);
+    return std::make_shared<std::vector<std::uint8_t>>(page,
+                                                       page + pageBytes());
+}
+
 std::uint64_t
 CacheController::frameOf(Addr paddr) const
 {
@@ -348,11 +356,11 @@ CacheController::access(Asid asid, Addr vaddr, bool write,
       case cache::MissKind::WriteShared:
         ++ownershipCount_;
         traceMissBegin(started, 1);
-        handleOwnershipMiss(req, *res.slot, started, std::move(done));
+        handleOwnershipMiss(req, res.slot, started, std::move(done));
         break;
       case cache::MissKind::Protection:
         traceMissBegin(started, 2);
-        handleProtectionMiss(req, *res.slot, started, std::move(done));
+        handleProtectionMiss(req, res.slot, started, std::move(done));
         break;
       case cache::MissKind::None:
         panic("miss dispatch with MissKind::None");
@@ -393,10 +401,10 @@ CacheController::retryAccess(const TranslateRequest &req, Tick started,
                 handleFullMiss(req, started, done);
                 break;
               case cache::MissKind::WriteShared:
-                handleOwnershipMiss(req, *res.slot, started, done);
+                handleOwnershipMiss(req, res.slot, started, done);
                 break;
               case cache::MissKind::Protection:
-                handleProtectionMiss(req, *res.slot, started, done);
+                handleProtectionMiss(req, res.slot, started, done);
                 break;
               case cache::MissKind::None:
                 panic("retry dispatch with MissKind::None");
@@ -516,8 +524,7 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
         // releasing ownership (entry -> 00), overlapped with up to
         // overlapNs of bookkeeping.
         missDirty_ = true; // observed by the tracer only
-        auto buffer = std::make_shared<std::vector<std::uint8_t>>(
-            slot.data);
+        auto buffer = copyPage(victim);
         forgetSlot(victim);
         cache_.invalidate(victim);
         ++writeBackCount_;
@@ -796,7 +803,7 @@ CacheController::readWord(Asid asid, Addr vaddr, bool supervisor,
                    panic("cpu", cpuId_,
                          ": readWord probe missed after access");
                std::uint32_t value = 0;
-               cache_.readBytes(*res.slot, cache_.offsetOf(vaddr),
+               cache_.readBytes(res.slot, cache_.offsetOf(vaddr),
                                 &value, sizeof(value));
                done(value);
            });
@@ -814,10 +821,10 @@ CacheController::writeWord(Asid asid, Addr vaddr, std::uint32_t value,
                if (!res.hit)
                    panic("cpu", cpuId_,
                          ": writeWord probe missed after access");
-               cache::Slot &s = cache_.slot(*res.slot);
+               cache::Slot &s = cache_.slot(res.slot);
                s.flags = static_cast<cache::SlotFlags>(
                    s.flags | cache::FlagModified);
-               cache_.writeBytes(*res.slot, cache_.offsetOf(vaddr),
+               cache_.writeBytes(res.slot, cache_.offsetOf(vaddr),
                                  &value, sizeof(value));
                done();
            });
@@ -1035,7 +1042,7 @@ CacheController::relinquishFrame(std::uint64_t frame, Done next)
     for (const auto slot : drop) {
         cache::Slot &s = cache_.slot(slot);
         if (s.valid() && s.modified())
-            dirty = std::make_shared<std::vector<std::uint8_t>>(s.data);
+            dirty = copyPage(slot);
         cache_.invalidate(slot);
         forgetSlot(slot);
     }
@@ -1107,7 +1114,7 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
             continue;
         any_slot = true;
         if (s.modified())
-            dirty = std::make_shared<std::vector<std::uint8_t>>(s.data);
+            dirty = copyPage(slot);
         s.flags = static_cast<cache::SlotFlags>(
             s.flags &
             ~(cache::FlagExclusive | cache::FlagModified));
@@ -1418,7 +1425,7 @@ CacheController::flushFrame(Addr paddr, Done done)
     for (const auto slot : drop) {
         cache::Slot &s = cache_.slot(slot);
         if (s.valid() && s.modified())
-            dirty = std::make_shared<std::vector<std::uint8_t>>(s.data);
+            dirty = copyPage(slot);
         cache_.invalidate(slot);
         forgetSlot(slot);
     }

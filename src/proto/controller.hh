@@ -417,6 +417,10 @@ class CacheController
      *  continuation receives no arguments; bookkeeping is updated. */
     void retireVictim(cache::SlotIndex victim, Done done);
 
+    /** A copy of @p slot's page, for a write-back. */
+    std::shared_ptr<std::vector<std::uint8_t>>
+    copyPage(cache::SlotIndex slot) const;
+
     /** Record that @p slot now caches @p frame. */
     void bindSlot(cache::SlotIndex slot, std::uint64_t frame);
     /** Remove @p slot from its frame's bookkeeping (if tracked). */

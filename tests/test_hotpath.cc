@@ -1,8 +1,10 @@
 /**
  * @file
  * Deterministic gates on the per-reference hot path: the event-driven
- * machine's hit path allocates (almost) nothing, and the miss victim
- * the cache computes only on a miss equals its LRU suggestion. The
+ * machine's hit path allocates (almost) nothing, a data-storing cache
+ * allocates its pages once, the probe result is a small trivially
+ * copyable value, and the miss victim the cache computes only on a
+ * miss equals its LRU suggestion. The
  * binary replaces the global operator new to count heap allocations.
  */
 
@@ -12,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -120,6 +123,24 @@ TEST(HotPath, FlatHitPathAllocatesAlmostNothing)
                             << r.totalMisses << " misses)";
 }
 
+// The probe result travels in registers: no std::optional, no spill.
+static_assert(std::is_trivially_copyable_v<cache::AccessResult>);
+static_assert(sizeof(cache::AccessResult) <= 16);
+
+TEST(HotPath, DataCacheAllocatesItsPagesOnce)
+{
+    // A data-storing cache holds its pages in one contiguous store:
+    // the slot array and the page store, not one buffer per slot.
+    const auto cfg = cache::CacheConfig::forSize(KiB(256), 512, 4, true);
+    std::uint64_t allocs = 0;
+    {
+        const CountAllocations counter;
+        const cache::Cache cache(cfg);
+        allocs = counter.count();
+    }
+    EXPECT_LE(allocs, 2u) << cfg.totalSlots() << " slots";
+}
+
 TEST(HotPath, MissVictimMatchesLruSuggestion)
 {
     // The Figure-4 geometries over the four ATUM-like traces. Read
@@ -159,9 +180,9 @@ TEST(HotPath, MissVictimMatchesLruSuggestion)
                             res.miss == cache::MissKind::Protection
                             ? cache::FlagUserWritable
                             : cache::FlagExclusive;
-                        cache.setFlags(*res.slot,
+                        cache.setFlags(res.slot,
                                        static_cast<cache::SlotFlags>(
-                                           cache.slot(*res.slot).flags |
+                                           cache.slot(res.slot).flags |
                                            granted));
                     }
                 }

@@ -418,6 +418,36 @@ TEST_F(VmFixture, MemoryPressureTriggersPageout)
     }
 }
 
+TEST_F(VmFixture, NestedMissAndOverlappedDrainsArePinned)
+{
+    // The page-table walk reads its PTE through the cache inside the
+    // outer miss (a nested miss), and the fixture's interrupt-line
+    // servicer opens a second drain on cpu0 while a fault-path drain
+    // is still running. Pin the run's outcome exactly: values read,
+    // page-outs, elapsed ticks, misses, retries and words serviced.
+    const std::uint32_t frames = vm.allocator().freeFrames();
+    const std::uint32_t pages = frames + 8;
+    for (std::uint32_t i = 0; i < pages; ++i)
+        doWrite(0, 1, userBase + static_cast<Addr>(i) * vmPageBytes,
+                i + 1);
+    std::uint64_t checksum = 0;
+    for (std::uint32_t i = 0; i < pages; ++i) {
+        const std::uint32_t value =
+            doRead(0, 1, userBase + static_cast<Addr>(i) * vmPageBytes);
+        ASSERT_EQ(value, i + 1) << "page " << i;
+        checksum = checksum * 31 + value;
+    }
+    EXPECT_EQ(pages, 260u);
+    EXPECT_EQ(checksum, 6129739889200958658ull);
+    EXPECT_EQ(vm.pageOuts().value(), 272u);
+    EXPECT_EQ(events.now(), 416233270u);
+    EXPECT_EQ(ctl(0).misses().value(), 540u);
+    EXPECT_EQ(ctl(1).misses().value(), 0u);
+    EXPECT_EQ(ctl(0).retries().value(), 520u);
+    EXPECT_EQ(ctl(0).wordsServiced().value(), 22u);
+    EXPECT_EQ(ctl(1).wordsServiced().value(), 0u);
+}
+
 TEST_F(VmFixture, PageOutUntilTargetReachesTarget)
 {
     for (std::uint32_t i = 0; i < 12; ++i)

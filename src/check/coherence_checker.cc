@@ -136,7 +136,8 @@ CoherenceChecker::checkFull()
         const monitor::ActionTable &table = ctl->busMonitor().table();
 
         // I2: software frame state vs own hardware table entry.
-        for (const auto &[frame, info] : ctl->frameTable()) {
+        ctl->frameBook().forEachFrame([&](std::uint64_t frame,
+                              const proto::FrameInfo &info) {
             const mem::ActionEntry entry = table.get(frame);
             if (info.state == proto::FrameState::Private) {
                 ++private_claims[frame];
@@ -154,16 +155,16 @@ CoherenceChecker::checkFull()
                    << mem::actionEntryName(entry);
                 report(os.str());
             }
-        }
+        });
 
         // I2 (reverse): a Protect entry must be backed by a Private
         // frame — stale Protect would abort every other master forever.
         for (const std::uint64_t frame : table.nonIgnoredFrames()) {
             if (table.get(frame) != mem::ActionEntry::Protect)
                 continue;
-            const auto it = ctl->frameTable().find(frame);
-            if (it == ctl->frameTable().end() ||
-                it->second.state != proto::FrameState::Private) {
+            const proto::FrameInfo *info = ctl->frameInfo(frame * page);
+            if (info == nullptr ||
+                info->state != proto::FrameState::Private) {
                 std::ostringstream os;
                 os << "I2: cpu" << cpu << " table entry Protect for "
                    << "frame " << frame
@@ -173,7 +174,8 @@ CoherenceChecker::checkFull()
         }
 
         // I3: software shadow table == hardware table.
-        for (const auto &[frame, entry] : ctl->shadowTable()) {
+        ctl->forEachShadow([&](std::uint64_t frame,
+                               mem::ActionEntry entry) {
             const mem::ActionEntry actual = table.get(frame);
             if (actual != entry) {
                 std::ostringstream os;
@@ -183,12 +185,13 @@ CoherenceChecker::checkFull()
                    << mem::actionEntryName(actual);
                 report(os.str());
             }
-        }
+        });
 
         // I5/I7: slot maps vs cache flags, and dirty => Private.
         const cache::Cache &cache = ctl->cache();
         std::set<std::uint64_t> dirty_frames;
-        for (const auto &[slot, frame] : ctl->slotFrames()) {
+        const proto::FrameBook &book = ctl->frameBook();
+        book.forEachSlot([&](cache::SlotIndex slot, std::uint64_t frame) {
             const cache::Slot &s = cache.slot(slot);
             if (!s.valid()) {
                 std::ostringstream os;
@@ -196,14 +199,15 @@ CoherenceChecker::checkFull()
                    << " tracked for frame " << frame
                    << " but invalid in the cache";
                 report(os.str());
-                continue;
+                return;
             }
             if (s.modified())
                 dirty_frames.insert(frame);
             if (s.modified() || s.exclusive()) {
-                const auto it = ctl->frameTable().find(frame);
-                if (it == ctl->frameTable().end() ||
-                    it->second.state != proto::FrameState::Private) {
+                const proto::FrameInfo *info =
+                    ctl->frameInfo(frame * page);
+                if (info == nullptr ||
+                    info->state != proto::FrameState::Private) {
                     std::ostringstream os;
                     os << "I5: cpu" << cpu << " slot " << slot
                        << (s.modified() ? " modified" : " exclusive")
@@ -211,13 +215,12 @@ CoherenceChecker::checkFull()
                     report(os.str());
                 }
             }
-        }
+        });
         const std::uint64_t slots = cache.config().totalSlots();
         for (std::uint64_t index = 0; index < slots; ++index) {
             const auto slot = static_cast<cache::SlotIndex>(index);
             if (cache.slot(slot).valid() &&
-                ctl->slotFrames().find(slot) ==
-                    ctl->slotFrames().end()) {
+                book.frameOf(slot) == proto::FrameBook::noFrame) {
                 std::ostringstream os;
                 os << "I7: cpu" << cpu << " slot " << slot
                    << " valid in the cache but untracked";
@@ -229,10 +232,11 @@ CoherenceChecker::checkFull()
         // frames with a dirty slot (memory is legitimately stale).
         if (opts_.checkData && cache.config().storeData) {
             std::vector<std::uint8_t> image(page);
-            for (const auto &[slot, frame] : ctl->slotFrames()) {
+            book.forEachSlot([&](cache::SlotIndex slot,
+                                 std::uint64_t frame) {
                 const cache::Slot &s = cache.slot(slot);
                 if (!s.valid() || dirty_frames.count(frame) != 0)
-                    continue;
+                    return;
                 mem_.readBlock(frame * page, image.data(), page);
                 if (std::memcmp(cache.pageData(slot), image.data(),
                                 page) != 0) {
@@ -241,7 +245,7 @@ CoherenceChecker::checkFull()
                        << " differs from memory frame " << frame;
                     report(os.str());
                 }
-            }
+            });
         }
     }
 

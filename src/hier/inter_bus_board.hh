@@ -35,9 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/block_copier.hh"
@@ -78,8 +75,6 @@ struct IbcTiming
 class InterBusBoard : public mem::BusWatcher
 {
   public:
-    using Done = std::function<void()>;
-
     /**
      * @param cluster_index this cluster's master id on the global bus
      * @param local_master_id the board's master id on the local bus
@@ -227,6 +222,33 @@ class InterBusBoard : public mem::BusWatcher
     void registerStats(StatGroup &group) const;
 
   private:
+    /**
+     * Software steps scheduled through afterSoftware(). The service
+     * loop does one piece of work at a time (busy_), so each step's
+     * state lives in the members below instead of in closures.
+     */
+    enum class Step : std::uint8_t
+    {
+        DispatchLocal, //!< examine local_.word
+        Install,       //!< install local_'s fetched/upgraded frame
+        GlobalWord,    //!< service global_.word
+    };
+
+    /** What runs when a recall, global write-back or entry write
+     *  completes. */
+    enum class Then : std::uint8_t
+    {
+        GlobalDone,
+        DowngradeRecalled,
+        DowngradeWritten,
+        DowngradeFinish,
+        InvalidateRecalled,
+        InvalidateWritten,
+        WriteBackRecalled,
+        RecoveryRecalled,
+        RecoveryNext,
+    };
+
     std::uint64_t frameOf(Addr paddr) const;
     Addr frameBase(Addr paddr) const;
 
@@ -235,39 +257,52 @@ class InterBusBoard : public mem::BusWatcher
     /** Take the next work item, priority: overflow, global, local. */
     void pump();
     void finishWork();
-    void afterSoftware(Tick delay, Done fn);
+    /** Run @p step after @p delay of software (never on a dead board). */
+    void afterSoftware(Tick delay, Step step);
+    void runStep(Step step);
+    void resume(Then then);
     Tick retryDelay();
 
-    void serviceLocalWord(monitor::InterruptWord word, Done done);
-    /** State-dependent dispatch of a local fetch/upgrade request;
-     *  also the retry entry point (cluster state may have changed). */
-    void dispatchLocalWord(monitor::InterruptWord word, Done done);
-    void fetchFrame(monitor::InterruptWord word, bool exclusive,
-                    Done done);
-    void upgradeFrame(monitor::InterruptWord word, Done done);
+    /** State-dependent dispatch of local_.word's fetch/upgrade; also
+     *  the retry entry point (cluster state may have changed). */
+    void dispatchLocalWord();
+    void fetchFrame(bool exclusive);
+    void fetched(const mem::TxResult &result);
+    void upgradeFrame();
+    void upgraded(const mem::TxResult &result);
+    /** Install local_'s frame as @p entry after the software's
+     *  install time, completing the work item. */
+    void install(mem::ActionEntry entry);
 
-    void serviceGlobalWord(monitor::InterruptWord word, Done done);
-    /** Service every queued global word, then @p done (deadlock
-     *  avoidance before retrying an aborted global transaction). */
-    void drainGlobalWords(Done done);
-    void downgradeCluster(Addr base, Done done);
-    void invalidateCluster(Addr base, Done done);
+    /** Service @p word; @p nested: inside drainGlobalWords. */
+    void serviceGlobalWord(const monitor::InterruptWord &word,
+                           bool nested);
+    void globalWord();
+    void globalDone();
+    /** Service every queued global word, then retry local_.word after
+     *  a back-off (deadlock avoidance after an aborted global fetch or
+     *  upgrade). */
+    void drainGlobalWords();
+    void downgradeCluster();
+    void invalidateCluster();
     /** Clear a stale global action-table entry, if any. */
-    void clearGlobalEntryIfStale(Addr base, Done done);
+    void clearGlobalEntryIfStale(Addr base, Then then);
 
     /** Force every local cache to give up the frame (local
      *  assert-ownership, retried until unaborted). */
-    void recallLocal(Addr base, Done done);
+    void recallLocal(Addr base, Then then);
+    void recallAttempt();
+    void recalled(const mem::TxResult &result);
     /** Write the image copy of @p base back to main memory; the global
      *  entry becomes @p after. Retries on abort. */
-    void writeBackGlobal(Addr base, mem::ActionEntry after, Done done);
+    void writeBackGlobal(Addr base, mem::ActionEntry after, Then then);
+    void writeBackAttempt();
+    void writtenBack(const mem::TxResult &result);
     /** Set this board's global action-table entry via the bus. */
-    void setGlobalEntry(Addr base, mem::ActionEntry entry, Done done);
+    void setGlobalEntry(Addr base, mem::ActionEntry entry, Then then);
 
-    void recoverGlobalOverflow(Done done);
-    void dropSharedFrames(
-        std::shared_ptr<std::vector<std::uint64_t>> frames,
-        std::size_t index, Done done);
+    void recoverGlobalOverflow();
+    void dropSharedFrame();
 
     /** Record an instant event (no-op while tracer_ is null). */
     void traceInstant(obs::EventKind kind, Addr addr);
@@ -296,12 +331,44 @@ class InterBusBoard : public mem::BusWatcher
     mem::BlockCopier globalCopier_;
     Rng rng_;
 
-    /** Page staging buffer for global transfers. */
-    std::vector<std::uint8_t> staging_;
     /** Frames whose image copy is newer than main memory. */
-    std::unordered_set<std::uint64_t> dirty_;
+    std::vector<bool> dirty_;
     /** Software shadow of the global monitor's action table. */
-    std::unordered_map<std::uint64_t, mem::ActionEntry> globalShadow_;
+    monitor::ActionTable globalShadow_;
+
+    /** The local fetch/upgrade request being serviced. */
+    struct LocalWork
+    {
+        monitor::InterruptWord word;
+        Addr base = 0;
+        Tick started = 0;
+        bool exclusive = false;
+        /** Cluster entry to install once the frame arrived. */
+        mem::ActionEntry entry = mem::ActionEntry::Ignore;
+        /** Names the retry event after an aborted fetch/upgrade. */
+        const char *retryName = "";
+    } local_;
+    /** The global consistency word being serviced. */
+    struct GlobalWork
+    {
+        monitor::InterruptWord word;
+        Addr base = 0;
+        std::uint64_t frame = 0;
+        /** Cluster state of the frame when the word was taken up. */
+        mem::ActionEntry state = mem::ActionEntry::Ignore;
+        /** Serviced inside drainGlobalWords (vs. from the pump). */
+        bool nested = false;
+    } global_;
+    /** The recall, global write-back and entry write in flight. */
+    Addr recallBase_ = 0;
+    Then recallThen_ = Then::GlobalDone;
+    Addr writeBackBase_ = 0;
+    mem::ActionEntry writeBackAfter_ = mem::ActionEntry::Ignore;
+    Then writeBackThen_ = Then::GlobalDone;
+    Then entryThen_ = Then::GlobalDone;
+    /** Overflow recovery: the shared frames to drop, and progress. */
+    std::vector<std::uint64_t> recoveryFrames_;
+    std::size_t recoveryIndex_ = 0;
 
     /** Track the global-shadow footprint for the budget client. */
     void shadowSet(std::uint64_t frame, mem::ActionEntry entry);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "mem/vme_bus.hh"
 #include "sim/stats.hh"
@@ -23,7 +24,9 @@ namespace vmp::mem
  * One processor board's block-copy engine. At most one copy operation
  * may be in flight per copier, matching the hardware (the CPU blocks on
  * the cache controller mid-instruction if it references the cache while
- * a transfer is in progress).
+ * a transfer is in progress). So the engine owns one page buffer: reads
+ * land in it and write-backs send from it, and the transfer in flight
+ * and its completion are kept as members rather than in closures.
  */
 class BlockCopier
 {
@@ -34,18 +37,27 @@ class BlockCopier
 
     /**
      * Start a page read (read-shared or read-private per @p exclusive)
-     * from main memory into @p buffer.
+     * of @p bytes from main memory into the page buffer.
      */
-    void readPage(Addr paddr, std::uint8_t *buffer, std::uint32_t bytes,
-                  bool exclusive, Done done);
+    void readPage(Addr paddr, std::uint32_t bytes, bool exclusive,
+                  Done done);
 
     /**
-     * Write a page back to main memory, releasing ownership. The
-     * requester's action-table entry becomes @p after (Ignore when the
-     * page is being dropped, Shared when it is being downgraded).
+     * Write the first @p bytes of the page buffer back to main memory,
+     * releasing ownership. The requester's action-table entry becomes
+     * @p after (Ignore when the page is being dropped, Shared when it
+     * is being downgraded).
      */
-    void writeBackPage(Addr paddr, const std::uint8_t *buffer,
-                       std::uint32_t bytes, ActionEntry after, Done done);
+    void writeBackPage(Addr paddr, std::uint32_t bytes, ActionEntry after,
+                       Done done);
+
+    /**
+     * The engine's page buffer, grown to at least @p bytes on first
+     * use. Callers fill it before a write-back and read a completed
+     * read from it; it keeps its contents between transfers.
+     */
+    std::uint8_t *buffer(std::uint32_t bytes);
+    const std::uint8_t *buffer() const { return buffer_.data(); }
 
     bool busy() const { return busy_; }
 
@@ -76,6 +88,9 @@ class BlockCopier
 
   private:
     void start(const BusTransaction &tx, Done done);
+    /** Put the transfer on the bus (after any injected stall). */
+    void issue();
+    void finish(const TxResult &res);
 
     std::uint32_t masterId_;
     VmeBus &bus_;
@@ -85,6 +100,10 @@ class BlockCopier
     std::uint16_t traceTrack_ = 0;
     /** Tick start() ran at (valid while busy_; for the Copy span). */
     Tick startedAt_ = 0;
+    /** The transfer in flight and its completion (valid while busy_). */
+    BusTransaction tx_;
+    Done done_;
+    std::vector<std::uint8_t> buffer_;
     Counter copies_;
     Counter aborted_;
     Counter stalled_;

@@ -1,7 +1,6 @@
 #include "mem/vme_bus.hh"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 
 #include "sim/debug.hh"
@@ -158,20 +157,20 @@ VmeBus::levelOf(std::uint32_t id) const
     return id % arb_.priorityLevels;
 }
 
-std::deque<VmeBus::Pending>::iterator
-VmeBus::selectNext()
+std::size_t
+VmeBus::selectNext() const
 {
     switch (arb_.discipline) {
       case Arbitration::Fifo:
-        return queue_.begin();
+        return 0;
       case Arbitration::Priority: {
         // Highest bus-request level wins; arrival order (the
         // daisy-chain) breaks ties, so strict > keeps the earliest.
-        auto best = queue_.begin();
-        for (auto it = std::next(best); it != queue_.end(); ++it) {
-            if (levelOf(it->tx.requester) >
-                levelOf(best->tx.requester))
-                best = it;
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < queue_.size(); ++i) {
+            if (levelOf(queue_[i].tx.requester) >
+                levelOf(queue_[best].tx.requester))
+                best = i;
         }
         return best;
       }
@@ -181,11 +180,11 @@ VmeBus::selectNext()
         const auto distance = [this](std::uint32_t id) {
             return static_cast<std::uint32_t>(id - lastMaster_ - 1);
         };
-        auto best = queue_.begin();
-        for (auto it = std::next(best); it != queue_.end(); ++it) {
-            if (distance(it->tx.requester) <
-                distance(best->tx.requester))
-                best = it;
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < queue_.size(); ++i) {
+            if (distance(queue_[i].tx.requester) <
+                distance(queue_[best].tx.requester))
+                best = i;
         }
         return best;
       }
@@ -222,19 +221,27 @@ VmeBus::request(const BusTransaction &tx, Completion done)
     // branch.
     if (!fenced_.empty() && isMasterFenced(tx.requester)) {
         ++fencedDrops_;
-        events_.scheduleIn(
-            timing_.shortTxNs,
-            [done = std::move(done)] {
-                TxResult result;
-                result.aborted = true;
-                done(result);
-            },
-            "bus-fence-bounce");
+        // Every bounce waits the same time, so they fire in the order
+        // they were queued.
+        bounced_.push_back(std::move(done));
+        events_.scheduleIn(timing_.shortTxNs,
+                           smallCapture([this] { bounce(); }),
+                           "bus-fence-bounce");
         return;
     }
     queue_.push_back(Pending{tx, std::move(done), events_.now()});
     if (!busy_)
         grant();
+}
+
+void
+VmeBus::bounce()
+{
+    const Completion done = std::move(bounced_.front());
+    bounced_.pop_front();
+    TxResult result;
+    result.aborted = true;
+    done(result);
 }
 
 void
@@ -262,12 +269,13 @@ VmeBus::grant()
         return;
     }
     busy_ = true;
-    const auto next = selectNext();
-    Pending pending = std::move(*next);
+    const auto next = queue_.begin() +
+        static_cast<std::ptrdiff_t>(selectNext());
+    current_ = std::move(*next);
     queue_.erase(next);
-    const BusTransaction &tx = pending.tx;
+    const BusTransaction &tx = current_.tx;
     lastMaster_ = tx.requester;
-    const Tick queue_delay = events_.now() - pending.queuedAt;
+    const Tick queue_delay = events_.now() - current_.queuedAt;
 
     // Consistency check: every attached monitor observes the
     // transaction (including the requester's own).
@@ -340,21 +348,20 @@ VmeBus::grant()
     // let mid-run utilization samples exceed 1.0.
     txStartTick_ = events_.now();
     txBusTime_ = bus_time;
+    txAborted_ = aborted;
+    txQueueDelay_ = queue_delay;
 
-    events_.scheduleIn(bus_time,
-                       [this, p = std::move(pending), aborted,
-                        queue_delay, bus_time]() mutable {
-                           complete(std::move(p), aborted, queue_delay,
-                                    bus_time);
-                       },
+    events_.scheduleIn(bus_time, smallCapture([this] { complete(); }),
                        "bus-complete");
 }
 
 void
-VmeBus::complete(Pending pending, bool aborted, Tick queue_delay,
-                 Tick bus_time)
+VmeBus::complete()
 {
-    const BusTransaction &tx = pending.tx;
+    const BusTransaction &tx = current_.tx;
+    const bool aborted = txAborted_;
+    const Tick queue_delay = txQueueDelay_;
+    const Tick bus_time = txBusTime_;
     if (!aborted) {
         // Architected data movement.
         switch (tx.type) {
@@ -415,7 +422,7 @@ VmeBus::complete(Pending pending, bool aborted, Tick queue_delay,
 
     // Grant the next queued transaction before running the completion
     // so a retry issued from the callback queues behind existing work.
-    Completion done = std::move(pending.done);
+    const Completion done = std::move(current_.done);
     grant();
     if (done)
         done(result);

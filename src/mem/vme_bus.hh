@@ -285,14 +285,16 @@ class VmeBus
     {
         BusTransaction tx;
         Completion done;
-        Tick queuedAt;
+        Tick queuedAt = 0;
     };
 
     void grant();
-    /** Pick the next queued request under the configured discipline. */
-    std::deque<Pending>::iterator selectNext();
-    void complete(Pending pending, bool aborted, Tick queue_delay,
-                  Tick bus_time);
+    /** Index in queue_ of the next request under the discipline. */
+    std::size_t selectNext() const;
+    /** The granted transaction (current_) leaves the bus. */
+    void complete();
+    /** Complete the oldest fenced-off request as aborted. */
+    void bounce();
 
     EventQueue &events_;
     PhysMem &mem_;
@@ -301,7 +303,15 @@ class VmeBus
     std::vector<std::pair<std::uint32_t, BusWatcher *>> watchers_;
     /** Per-master level overrides (Priority discipline). */
     std::vector<std::pair<std::uint32_t, unsigned>> levelOverrides_;
-    std::deque<Pending> queue_;
+    /** Requests waiting for the bus, in arrival order. */
+    std::vector<Pending> queue_;
+    /** The transaction on the bus (valid while busy_). */
+    Pending current_;
+    /** Whether current_ ends aborted, and its arbitration wait. */
+    bool txAborted_ = false;
+    Tick txQueueDelay_ = 0;
+    /** Completions of fenced-off requests, bounced in order. */
+    std::deque<Completion> bounced_;
     /** Masters currently fenced off the bus (normally empty). */
     std::vector<std::uint32_t> fenced_;
     bool busy_ = false;

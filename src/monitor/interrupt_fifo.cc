@@ -9,6 +9,7 @@ InterruptFifo::InterruptFifo(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity == 0)
         fatal("interrupt FIFO capacity must be positive");
+    ring_.resize(capacity);
 }
 
 void
@@ -17,7 +18,7 @@ InterruptFifo::push(const InterruptWord &word)
     // A forced drop is indistinguishable from a genuine overflow:
     // the word is lost and the sticky flag trips the software
     // recovery sweep.
-    if (words_.size() >= capacity_ ||
+    if (size_ >= capacity_ ||
         (hooks_ != nullptr && hooks_->injectFifoDrop())) {
         overflowed_ = true;
         ++dropped_;
@@ -25,7 +26,11 @@ InterruptFifo::push(const InterruptWord &word)
             traceDepth(/*drop=*/true);
         return;
     }
-    words_.push_back(word);
+    std::size_t tail = head_ + size_;
+    if (tail >= capacity_)
+        tail -= capacity_;
+    ring_[tail] = word;
+    ++size_;
     ++pushed_;
     if (tracer_ != nullptr)
         traceDepth(/*drop=*/false);
@@ -37,7 +42,7 @@ InterruptFifo::traceDepth(bool drop) const
     obs::TraceEvent event;
     event.kind = obs::EventKind::FifoDepth;
     event.at = obsEvents_ != nullptr ? obsEvents_->now() : 0;
-    event.arg0 = words_.size();
+    event.arg0 = size_;
     event.track = traceTrack_;
     event.aux = drop ? 1 : 0;
     tracer_->record(event);
@@ -46,10 +51,12 @@ InterruptFifo::traceDepth(bool drop) const
 std::optional<InterruptWord>
 InterruptFifo::pop()
 {
-    if (words_.empty())
+    if (size_ == 0)
         return std::nullopt;
-    InterruptWord word = words_.front();
-    words_.pop_front();
+    const InterruptWord word = ring_[head_];
+    if (++head_ == capacity_)
+        head_ = 0;
+    --size_;
     if (tracer_ != nullptr)
         traceDepth(/*drop=*/false);
     return word;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,24 @@ struct EventId
     bool valid() const { return when != maxTick; }
     void invalidate() { when = maxTick; }
 };
+
+/**
+ * Pass a continuation through unchanged, checking at compile time that
+ * std::function stores it in place instead of on the heap: libstdc++
+ * keeps a callable inline when it is trivially copyable and at most 16
+ * bytes, i.e. `this` plus one small value. Wrap every continuation of
+ * an allocation-free path in it where it is scheduled or handed on.
+ */
+template <class F>
+constexpr F &&
+smallCapture(F &&fn)
+{
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_trivially_copyable_v<Fn> && sizeof(Fn) <= 16,
+                  "continuation must capture at most `this` plus one "
+                  "small trivially copyable value");
+    return std::forward<F>(fn);
+}
 
 /**
  * Discrete-event queue. Not thread-safe: the whole simulator is single

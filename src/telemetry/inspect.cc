@@ -109,7 +109,7 @@ inspectBoard(const core::ProcessorBoard &board)
     controller["words_serviced"] =
         Json(board.controller.wordsServiced().value());
     controller["frames_tracked"] =
-        Json(std::uint64_t{board.controller.frameTable().size()});
+        Json(std::uint64_t{board.controller.frameBook().framesTracked()});
     doc["controller"] = std::move(controller);
     Json mon = Json::object();
     mon["masked"] = Json(board.monitor.masked());

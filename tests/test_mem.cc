@@ -397,19 +397,17 @@ TEST_F(BusFixture, CopierReadsPage)
 {
     memory.writeWord(0x1000, 0x99aabbcc);
     BlockCopier copier(0, bus);
-    std::vector<std::uint8_t> buf(256, 0);
     bool done = false;
-    copier.readPage(0x1000, buf.data(), 256, false,
-                    [&](const TxResult &res) {
-                        done = true;
-                        EXPECT_FALSE(res.aborted);
-                    });
+    copier.readPage(0x1000, 256, false, [&](const TxResult &res) {
+        done = true;
+        EXPECT_FALSE(res.aborted);
+    });
     EXPECT_TRUE(copier.busy());
     events.run();
     EXPECT_TRUE(done);
     EXPECT_FALSE(copier.busy());
     std::uint32_t word = 0;
-    std::memcpy(&word, buf.data(), 4);
+    std::memcpy(&word, copier.buffer(), 4);
     EXPECT_EQ(word, 0x99aabbccu);
     EXPECT_EQ(copier.copies().value(), 1u);
 }
@@ -419,9 +417,8 @@ TEST_F(BusFixture, CopierWriteBackCarriesDowngradeEntry)
     FakeWatcher watcher;
     bus.attachWatcher(0, watcher);
     BlockCopier copier(0, bus);
-    std::vector<std::uint8_t> buf(256, 0x42);
-    copier.writeBackPage(0x2000, buf.data(), 256, ActionEntry::Shared,
-                         nullptr);
+    std::fill_n(copier.buffer(256), 256, std::uint8_t{0x42});
+    copier.writeBackPage(0x2000, 256, ActionEntry::Shared, nullptr);
     events.run();
     EXPECT_EQ(memory.readWord(0x2000), 0x42424242u);
     ASSERT_EQ(watcher.updates.size(), 1u);
@@ -431,10 +428,8 @@ TEST_F(BusFixture, CopierWriteBackCarriesDowngradeEntry)
 TEST_F(BusFixture, CopierRefusesConcurrentCopies)
 {
     BlockCopier copier(0, bus);
-    std::vector<std::uint8_t> a(256), b(256);
-    copier.readPage(0, a.data(), 256, false, nullptr);
-    EXPECT_THROW(copier.readPage(256, b.data(), 256, false, nullptr),
-                 PanicError);
+    copier.readPage(0, 256, false, nullptr);
+    EXPECT_THROW(copier.readPage(256, 256, false, nullptr), PanicError);
 }
 
 // --------------------------------------------------------------- dma

@@ -5,10 +5,12 @@
 # and rerun the core tests under it: the event kernel, cache, memory
 # system, hot-path gates, artifacts, the consistency protocol (whose
 # write-backs copy out of the cache's page store), both machines (flat
-# and hierarchical), telemetry and the fast fault-injection (whose
-# checker compares cached pages with memory) and recovery tests (the
-# torture matrices are left to their own job). Fails on the first
-# error.
+# and hierarchical), telemetry, the VM system (a page-table walk nests
+# a miss inside a miss, and interrupt drains overlap), synchronization
+# (notify and lock loops), arbitration (the fault-path fingerprints),
+# and the fast fault-injection (whose checker compares cached pages
+# with memory) and recovery tests (the torture matrices are left to
+# their own job). Fails on the first error.
 #
 # Usage: scripts/tier1.sh [build-dir] [sanitize-build-dir]
 set -e
@@ -29,8 +31,8 @@ echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_cache test_mem test_hotpath test_artifact \
-    test_proto test_core test_hier test_telemetry test_fault \
-    test_recover bench_table1
+    test_proto test_core test_hier test_telemetry test_vm test_sync \
+    test_arbitration test_fault test_recover bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
@@ -42,6 +44,9 @@ echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_core"
 "$sanitize/tests/test_hier"
 "$sanitize/tests/test_telemetry"
+"$sanitize/tests/test_vm"
+"$sanitize/tests/test_sync"
+"$sanitize/tests/test_arbitration"
 "$sanitize/tests/test_fault" --gtest_filter=-*Torture*
 "$sanitize/tests/test_recover" --gtest_filter=-*Torture*
 

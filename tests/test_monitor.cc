@@ -117,6 +117,30 @@ TEST(InterruptFifo, FifoOrderAndCapacity)
     EXPECT_FALSE(fifo.overflowed());
 }
 
+TEST(InterruptFifo, WrapsAroundItsRingInFifoOrder)
+{
+    // Push and pop past the end of the fixed ring several times: the
+    // queue, words() and the capacity bound must all stay in order.
+    InterruptFifo fifo(4);
+    Addr next_push = 0;
+    Addr next_pop = 0;
+    for (int round = 0; round < 5; ++round) {
+        while (fifo.size() < fifo.capacity())
+            fifo.push({TxType::ReadShared, next_push++, 0});
+        fifo.push({TxType::ReadShared, 999, 0}); // full: dropped
+        Addr expect = next_pop;
+        for (const InterruptWord &word : fifo.words())
+            EXPECT_EQ(word.paddr, expect++);
+        EXPECT_EQ(expect, next_push);
+        for (int i = 0; i < 3; ++i)
+            EXPECT_EQ(fifo.pop()->paddr, next_pop++);
+    }
+    EXPECT_EQ(fifo.dropped().value(), 5u);
+    EXPECT_EQ(fifo.words().size(), 1u);
+    EXPECT_EQ(fifo.pop()->paddr, next_pop);
+    EXPECT_TRUE(fifo.words().empty());
+}
+
 TEST(InterruptFifo, DefaultCapacityIs128)
 {
     InterruptFifo fifo;

@@ -688,5 +688,82 @@ TEST_F(ProtoTest, TwoStateInvariantAfterQuiescence)
     }
 }
 
+// ------------------------------------------------- demand translator
+
+/** Frame number @p t assigns to @p vaddr under @p asid. */
+std::uint64_t
+frameOf(DemandTranslator &t, Asid asid, Addr vaddr,
+        std::uint32_t page_bytes = pageBytes)
+{
+    TranslateRequest req;
+    req.asid = asid;
+    req.vaddr = vaddr;
+    const TranslateResult res = t.translateNow(req);
+    EXPECT_TRUE(res.ok);
+    EXPECT_EQ(res.paddr % page_bytes, vaddr % page_bytes);
+    return res.paddr / page_bytes;
+}
+
+TEST(DemandTranslator, FramesFollowFirstTouchOrder)
+{
+    DemandTranslator t(memBytes, pageBytes, 0x1000'0000, 0x2000'0000,
+                       /*reserved_frames=*/16);
+    EXPECT_EQ(frameOf(t, 1, 0x2000'0000), 16u);
+    EXPECT_EQ(frameOf(t, 1, 0x2000'5004), 17u);
+    EXPECT_EQ(frameOf(t, 1, 0x2000'0000 + 3), 16u);
+    EXPECT_EQ(frameOf(t, 1, 0x1000'0100), 18u);
+    EXPECT_EQ(frameOf(t, 1, 0x2000'5000 + pageBytes - 1), 17u);
+    EXPECT_EQ(t.allocated(), 19u);
+}
+
+TEST(DemandTranslator, KernelPagesSharedUserPagesPrivate)
+{
+    DemandTranslator t(memBytes, pageBytes, 0x1000'0000, 0x2000'0000, 0);
+    const std::uint64_t kernel = frameOf(t, 1, 0x1000'0400);
+    EXPECT_EQ(frameOf(t, 2, 0x1000'0400), kernel);
+    EXPECT_EQ(frameOf(t, 200, 0x1000'0404), kernel);
+    const std::uint64_t user1 = frameOf(t, 1, 0x2000'0400);
+    const std::uint64_t user2 = frameOf(t, 2, 0x2000'0400);
+    EXPECT_NE(user1, user2);
+    EXPECT_NE(user1, kernel);
+    EXPECT_NE(user2, kernel);
+    EXPECT_EQ(frameOf(t, 1, 0x2000'0400), user1);
+    EXPECT_EQ(frameOf(t, 2, 0x2000'0400), user2);
+    EXPECT_EQ(t.allocated(), 3u);
+}
+
+TEST(DemandTranslator, RunningOutOfFramesIsFatal)
+{
+    DemandTranslator t(8 * pageBytes, pageBytes, 0x1000'0000, 0x2000'0000,
+                       /*reserved_frames=*/2);
+    for (Addr page = 0; page < 6; ++page)
+        EXPECT_EQ(frameOf(t, 1, 0x2000'0000 + page * pageBytes), 2 + page);
+    // Pages already mapped still translate once memory is full.
+    EXPECT_EQ(frameOf(t, 1, 0x2000'0000), 2u);
+    TranslateRequest req;
+    req.asid = 1;
+    req.vaddr = 0x2000'0000 + 6 * pageBytes;
+    EXPECT_THROW(t.translateNow(req), FatalError);
+}
+
+TEST(DemandTranslator, KeysAreExactForHighVirtualPages)
+{
+    // With 128 B pages the top address bit lands in vpn bit 56, where a
+    // packed `asid << 56 | vpn` key would make (asid 1, vpn 2^56) the
+    // same as (asid 2, vpn 0). The translator keys on both exactly.
+    constexpr std::uint32_t page = 128;
+    DemandTranslator t(memBytes, page, 0x1000'0000, 0x2000'0000, 0);
+    const Addr high = Addr{1} << 63;
+    const std::uint64_t a = frameOf(t, 1, high, page);
+    const std::uint64_t b = frameOf(t, 2, 0, page);
+    const std::uint64_t c = frameOf(t, 1, high | 0x80, page);
+    EXPECT_NE(a, b);
+    EXPECT_NE(a, c);
+    EXPECT_NE(b, c);
+    EXPECT_EQ(frameOf(t, 1, high, page), a);
+    EXPECT_EQ(frameOf(t, 2, 0, page), b);
+    EXPECT_EQ(t.allocated(), 3u);
+}
+
 } // namespace
 } // namespace vmp::proto

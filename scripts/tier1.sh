@@ -10,14 +10,18 @@
 # (notify and lock loops), arbitration (the fault-path fingerprints),
 # and the fast fault-injection (whose checker compares cached pages
 # with memory) and recovery tests (the torture matrices are left to
-# their own job). Fails on the first error.
+# their own job). Last, a ThreadSanitizer build (-DVMP_SANITIZE=thread)
+# of the event kernel tests and the artifact tests, whose parallelMap
+# sweeps run one EventQueue per thread on 2-4 threads, so state shared
+# between queues shows up as a race. Fails on the first error.
 #
-# Usage: scripts/tier1.sh [build-dir] [sanitize-build-dir]
+# Usage: scripts/tier1.sh [build-dir] [sanitize-build-dir] [tsan-build-dir]
 set -e
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build=${1:-"$repo/build"}
 sanitize=${2:-"$repo/build-sanitize"}
+tsan=${3:-"$repo/build-tsan"}
 jobs=$(nproc 2>/dev/null || echo 2)
 
 echo "== tier1: configure + build ($build) =="
@@ -49,5 +53,13 @@ echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_arbitration"
 "$sanitize/tests/test_fault" --gtest_filter=-*Torture*
 "$sanitize/tests/test_recover" --gtest_filter=-*Torture*
+
+echo "== tier1: thread sanitizer build ($tsan) =="
+cmake -B "$tsan" -S "$repo" -DVMP_SANITIZE=thread
+cmake --build "$tsan" -j "$jobs" --target test_sim test_artifact
+
+echo "== tier1: thread-sanitized event kernel and threaded sweeps =="
+"$tsan/tests/test_sim"
+"$tsan/tests/test_artifact"
 
 echo "== tier1: OK =="

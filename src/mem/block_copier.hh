@@ -31,7 +31,7 @@ namespace vmp::mem
 class BlockCopier
 {
   public:
-    using Done = std::function<void(const TxResult &)>;
+    using Done = InlineFn<void(const TxResult &)>;
 
     BlockCopier(std::uint32_t master_id, VmeBus &bus);
 

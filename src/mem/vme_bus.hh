@@ -140,7 +140,7 @@ struct TxResult
 class VmeBus
 {
   public:
-    using Completion = std::function<void(const TxResult &)>;
+    using Completion = InlineFn<void(const TxResult &)>;
 
     VmeBus(EventQueue &events, PhysMem &memory,
            const BusTiming &timing = {},

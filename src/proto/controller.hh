@@ -133,7 +133,7 @@ struct WatchdogReport
 class CacheController
 {
   public:
-    using AccessDone = std::function<void(AccessOutcome)>;
+    using AccessDone = InlineFn<void(AccessOutcome)>;
     using Done = std::function<void()>;
     /** Page-fault upcall: handle the fault, then invoke retry. */
     using FaultHandler =

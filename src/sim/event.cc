@@ -7,28 +7,22 @@
 namespace vmp
 {
 
-EventId
-EventQueue::schedule(Tick when, Callback cb, const char *name)
+void
+EventQueue::badSchedule(Tick when, bool has_cb, const char *name) const
 {
-    if (when < now_)
-        panic("scheduling event '", name, "' at ", when,
-              " in the past (now ", now_, ")");
-    if (!cb)
+    if (!has_cb)
         panic("scheduling empty callback '", name, "'");
-    std::uint32_t slot;
-    if (free_.empty()) {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(Slot{nullptr, freeSeq});
-    } else {
-        slot = free_.back();
-        free_.pop_back();
-    }
-    const std::uint64_t seq = nextSeq_++;
-    slots_[slot].cb = std::move(cb);
-    slots_[slot].seq = seq;
-    heap_.push_back(Key{when, seq, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return EventId{when, seq, slot};
+    panic("scheduling event '", name, "' at ", when,
+          " in the past (now ", now_, ")");
+}
+
+void
+EventQueue::packingExhausted(std::uint64_t seq, std::uint64_t slot)
+{
+    if (slot >= maxSlots)
+        panic("event queue: more than ", maxSlots, " pending events");
+    panic("event queue: event seq ", seq, " past the ", maxSeqs,
+          " a queue may schedule");
 }
 
 bool
@@ -38,10 +32,14 @@ EventQueue::deschedule(EventId &id)
         return false;
     id.invalidate();
     // A handle whose slot was freed (the event ran or was cancelled)
-    // and possibly reused by a newer event no longer matches its seq.
-    if (id.slot >= slots_.size() || slots_[id.slot].seq != id.seq)
+    // and possibly reused by a newer event no longer matches its order.
+    if (id.slot >= slots_.size() ||
+        slots_[id.slot].order != (id.seq << slotBits | id.slot))
         return false;
-    release(id.slot);
+    Slot &s = slots_[id.slot];
+    s.cb = nullptr;
+    s.order = freeOrder;
+    free_.push_back(id.slot);
     // Keep the cancelled keys still in the heap bounded by the live
     // ones, so cancelling far-future events cannot grow it without
     // limit. Keys are unique, so rebuilding leaves the order unchanged.
@@ -51,62 +49,13 @@ EventQueue::deschedule(EventId &id)
                                        return !live(key);
                                    }),
                     heap_.end());
-        std::make_heap(heap_.begin(), heap_.end(), Later{});
+        // std's max-heap over "later" keeps the earliest key on top.
+        std::make_heap(heap_.begin(), heap_.end(),
+                       [](const Key &a, const Key &b) {
+                           return earlier(b, a);
+                       });
     }
     return true;
-}
-
-void
-EventQueue::popHeap()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-}
-
-void
-EventQueue::release(std::uint32_t slot)
-{
-    slots_[slot].cb = nullptr;
-    slots_[slot].seq = freeSeq;
-    free_.push_back(slot);
-}
-
-const EventQueue::Key *
-EventQueue::head()
-{
-    while (!heap_.empty() && !live(heap_.front()))
-        popHeap();
-    return heap_.empty() ? nullptr : &heap_.front();
-}
-
-bool
-EventQueue::step()
-{
-    const Key *top = head();
-    if (top == nullptr)
-        return false;
-    const Key key = *top;
-    popHeap();
-    now_ = key.when;
-    // Move the callback out and free the slot before running it so the
-    // callback may freely schedule or deschedule other events
-    // (including itself), which can reuse or grow the slab.
-    Callback cb = std::move(slots_[key.slot].cb);
-    release(key.slot);
-    ++dispatched_;
-    cb();
-    return true;
-}
-
-Tick
-EventQueue::run(Tick limit)
-{
-    for (const Key *top = head(); top != nullptr && top->when <= limit;
-         top = head())
-        step();
-    if (now_ < limit && limit != maxTick)
-        now_ = limit;
-    return now_;
 }
 
 void

@@ -122,8 +122,8 @@ TraceCpu::step()
 
     // Full-speed execution charge for this reference, then present it
     // to the cache; a miss blocks us inside the controller. The event
-    // captures only `this` so it fits std::function's inline buffer
-    // and a hit allocates nothing.
+    // and its completion capture only `this`, so InlineFn keeps both in
+    // place and a hit allocates nothing.
     events_.scheduleIn(timing_.refNs(), [this] {
         controller_.access(pending_.asid, pending_.vaddr,
                            pending_.isWrite(), pending_.supervisor,

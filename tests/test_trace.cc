@@ -337,6 +337,98 @@ TEST(Synthetic, KernelOffsetValidated)
     EXPECT_THROW(SyntheticGen{cfg}, FatalError);
 }
 
+// --------------------------------------------------------- stream gate
+
+/** FNV-1a over every field of every reference @p gen produces. */
+std::uint64_t
+streamHash(SyntheticGen &gen)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    MemRef r;
+    while (gen.next(r)) {
+        mix(r.vaddr, 8);
+        mix(r.asid, 1);
+        mix(static_cast<std::uint64_t>(r.type), 1);
+        mix(r.size, 1);
+        mix(r.supervisor, 1);
+    }
+    return h;
+}
+
+TEST(Synthetic, PresetStreamsArePinned)
+{
+    // The first 1M references of each preset at the two benchmark
+    // seeds, hashed field by field. Generator speed work must keep the
+    // stream bit-identical: every Figure-4 pin, golden and simulated
+    // fingerprint downstream rests on it.
+    struct Pin
+    {
+        const char *preset;
+        std::uint64_t seed;
+        std::uint64_t hash;
+        std::uint64_t supervisor;
+    };
+    const Pin pins[] = {
+        {"atum1", 1000, 17984405010299710101ull, 250035},
+        {"atum1", 7919, 4360325912394044523ull, 250044},
+        {"atum2", 1000, 1452214248760226871ull, 250136},
+        {"atum2", 7919, 14723815494600729100ull, 250097},
+        {"atum3", 1000, 692972754298145444ull, 250118},
+        {"atum3", 7919, 9785720542640452085ull, 250111},
+        {"atum4", 1000, 7055571636252346488ull, 280070},
+        {"atum4", 7919, 1790290324905744329ull, 280031},
+    };
+    for (const Pin &pin : pins) {
+        auto cfg = workloadConfig(pin.preset);
+        cfg.seed = pin.seed;
+        cfg.totalRefs = 1'000'000;
+        SyntheticGen gen(cfg);
+        EXPECT_EQ(streamHash(gen), pin.hash)
+            << pin.preset << " seed " << pin.seed;
+        EXPECT_EQ(gen.produced(), 1'000'000u);
+        EXPECT_EQ(gen.supervisorRefs(), pin.supervisor)
+            << pin.preset << " seed " << pin.seed;
+    }
+}
+
+TEST(Synthetic, TruncatedMidInstructionCountsAreExact)
+{
+    // A totalRefs that ends inside an instruction (the next reference
+    // would be a data or stack reference, not a fetch) must stop
+    // exactly there, with the queued remainder never counted.
+    auto cfg = workloadConfig("atum2");
+    cfg.seed = 1000;
+    const std::uint64_t cut = 123'457;
+    cfg.totalRefs = cut + 1;
+    {
+        SyntheticGen longer(cfg);
+        MemRef r;
+        while (longer.next(r)) {
+        }
+        ASSERT_FALSE(r.isFetch()) << "cut is on an instruction boundary";
+    }
+    cfg.totalRefs = cut;
+    SyntheticGen gen(cfg);
+    MemRef r;
+    std::uint64_t n = 0, sup = 0;
+    while (gen.next(r)) {
+        ++n;
+        sup += r.supervisor;
+    }
+    EXPECT_EQ(n, cut);
+    EXPECT_EQ(gen.produced(), cut);
+    EXPECT_EQ(gen.supervisorRefs(), sup);
+    EXPECT_EQ(gen.supervisorRefs(), 31'055u);
+    EXPECT_FALSE(gen.next(r));
+    EXPECT_EQ(gen.produced(), cut);
+}
+
 TEST(TraceIo, BinaryRejectsCorruptType)
 {
     std::stringstream ss;

@@ -1,7 +1,6 @@
 #include "sim/random.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/logging.hh"
 
@@ -22,12 +21,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed_value)
@@ -46,28 +39,10 @@ Rng::seed(std::uint64_t seed_value)
         s_[0] = 1;
 }
 
-std::uint64_t
-Rng::next()
+void
+Rng::belowZero()
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    if (bound == 0)
-        panic("Rng::below called with bound 0");
-    // 128-bit multiply-shift scaling: negligible bias for our bounds.
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
+    panic("Rng::below called with bound 0");
 }
 
 std::uint64_t
@@ -78,41 +53,30 @@ Rng::between(std::uint64_t lo, std::uint64_t hi)
     return lo + below(hi - lo + 1);
 }
 
-double
-Rng::uniform()
-{
-    // 53 random bits into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
 std::uint64_t
 Rng::geometric(double p)
 {
-    if (p <= 0.0 || p > 1.0)
-        panic("Rng::geometric: p out of (0, 1]: ", p);
-    if (p == 1.0)
-        return 1;
-    double u = uniform();
-    // Avoid log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    const double trials = std::floor(std::log(u) / std::log1p(-p)) + 1.0;
-    // For tiny p the trial count can exceed 2^64 - 1; converting such
-    // a double to uint64_t is undefined behaviour, so saturate first.
-    // 0x1p64 is the smallest power of two above the uint64_t range.
-    if (trials >= 0x1.0p64)
-        return std::numeric_limits<std::uint64_t>::max();
-    return static_cast<std::uint64_t>(trials);
+    return GeometricDist(p).sample(*this);
+}
+
+ChanceDist::ChanceDist(double p)
+{
+    if (p <= 0.0 || p >= 1.0) {
+        draws_ = false;
+        always_ = p >= 1.0;
+    } else if (!std::isnan(p)) {
+        const double t = std::ceil(std::ldexp(p, 53));
+        threshold_ = static_cast<std::uint64_t>(t) << 11;
+    }
+    // A NaN p leaves threshold_ at 0: chance(NaN) draws and says false.
+}
+
+GeometricDist::GeometricDist(double p)
+{
+    if (!(p > 0.0 && p <= 1.0))
+        panic("geometric draw: p out of (0, 1]: ", p);
+    certain_ = p == 1.0;
+    logQ_ = std::log1p(-p);
 }
 
 double

@@ -26,6 +26,14 @@ constexpr Addr osDataOffset = 0x0043'7280;
 /** Per-process stagger so same-numbered segments differ in set. */
 constexpr Addr processStride = 0x0003'7740;
 
+/** @p config after validation, so members built from it see sane values. */
+const SyntheticConfig &
+checked(const SyntheticConfig &config)
+{
+    config.check();
+    return config;
+}
+
 } // namespace
 
 void
@@ -84,19 +92,22 @@ struct SyntheticGen::ProcState
     Addr stackTop = 0;
 };
 
-SyntheticGen::SyntheticGen(const SyntheticConfig &config)
-    : cfg_(config), rng_(config.seed)
+SyntheticGen::ModeDraws::ModeDraws(const CodeSegmentConfig &code,
+                                   const DataSegmentConfig &data)
+    : functions(code.functions, code.theta),
+      objects(data.objects, data.theta),
+      localBranch(code.localBranchProb),
+      codeRun(1.0 / code.meanRunInstrs),
+      dataRun(1.0 / data.meanRunWords)
 {
-    cfg_.check();
-    userFuncDist_ = std::make_unique<ZipfDist>(cfg_.userCode.functions,
-                                               cfg_.userCode.theta);
-    userObjDist_ = std::make_unique<ZipfDist>(cfg_.userData.objects,
-                                              cfg_.userData.theta);
-    osFuncDist_ = std::make_unique<ZipfDist>(cfg_.osCode.functions,
-                                             cfg_.osCode.theta);
-    osObjDist_ = std::make_unique<ZipfDist>(cfg_.osData.objects,
-                                            cfg_.osData.theta);
+}
 
+SyntheticGen::SyntheticGen(const SyntheticConfig &config)
+    : cfg_(checked(config)), rng_(cfg_.seed),
+      user_(cfg_.userCode, cfg_.userData), os_(cfg_.osCode, cfg_.osData),
+      dataRef_(cfg_.dataRefProb), stackRef_(cfg_.stackRefProb),
+      write_(cfg_.writeFrac), osBurst_(1.0 / cfg_.osBurstInstrs)
+{
     for (std::uint32_t p = 0; p < cfg_.processes; ++p) {
         auto proc = std::make_unique<ProcState>();
         proc->asid = static_cast<Asid>(cfg_.asidBase + p);
@@ -118,10 +129,12 @@ SyntheticGen::current()
 }
 
 void
-SyntheticGen::emit(MemRef &ref, Addr vaddr, RefType type, bool supervisor)
+SyntheticGen::push(const ProcState &proc, Addr vaddr, RefType type,
+                   bool supervisor)
 {
+    MemRef &ref = queue_[queueLen_++];
     ref.vaddr = vaddr;
-    ref.asid = current().asid;
+    ref.asid = proc.asid;
     ref.type = type;
     ref.size = 4;
     ref.supervisor = supervisor;
@@ -129,7 +142,7 @@ SyntheticGen::emit(MemRef &ref, Addr vaddr, RefType type, bool supervisor)
 
 void
 SyntheticGen::stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
-                       bool supervisor)
+                       const ModeDraws &draws, bool supervisor)
 {
     Addr &pc = supervisor ? proc.osPc : proc.pc;
     std::uint64_t &run = supervisor ? proc.osRunLeft : proc.runLeft;
@@ -140,7 +153,7 @@ SyntheticGen::stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
 
     if (run == 0) {
         // Take a branch.
-        if (rng_.chance(cfg.localBranchProb)) {
+        if (draws.localBranch.sample(rng_)) {
             const std::int64_t disp =
                 static_cast<std::int64_t>(rng_.below(2 * cfg.localRange)) -
                 static_cast<std::int64_t>(cfg.localRange);
@@ -150,17 +163,14 @@ SyntheticGen::stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
                 static_cast<std::int64_t>(seg_end - 4));
             pc = alignDown(static_cast<Addr>(target), 4);
         } else {
-            const auto &dist = supervisor ? *osFuncDist_ : *userFuncDist_;
-            const std::uint64_t func = dist.sample(rng_);
+            const std::uint64_t func = draws.functions.sample(rng_);
             const Addr stride = cfg.bytes / cfg.functions;
             pc = seg_base + alignDown(func * stride, 4);
         }
-        run = rng_.geometric(1.0 / cfg.meanRunInstrs);
+        run = draws.codeRun.sample(rng_);
     }
 
-    MemRef ref;
-    emit(ref, pc, RefType::InstrFetch, supervisor);
-    queue_.push_back(ref);
+    push(proc, pc, RefType::InstrFetch, supervisor);
     pc += 4;
     if (pc >= seg_end)
         pc = seg_base;
@@ -169,7 +179,7 @@ SyntheticGen::stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
 
 void
 SyntheticGen::stepData(ProcState &proc, const DataSegmentConfig &cfg,
-                       bool supervisor)
+                       const ModeDraws &draws, bool supervisor)
 {
     Addr &addr = supervisor ? proc.osDataAddr : proc.dataAddr;
     std::uint64_t &run = supervisor ? proc.osDataRunLeft
@@ -181,19 +191,15 @@ SyntheticGen::stepData(ProcState &proc, const DataSegmentConfig &cfg,
         static_cast<Addr>(cfg.objects) * cfg.objectBytes;
 
     if (run == 0) {
-        const auto &dist = supervisor ? *osObjDist_ : *userObjDist_;
-        const std::uint64_t obj = dist.sample(rng_);
+        const std::uint64_t obj = draws.objects.sample(rng_);
         const Addr off = alignDown(rng_.below(cfg.objectBytes), 4);
         addr = seg_base + obj * cfg.objectBytes + off;
-        run = rng_.geometric(1.0 / cfg.meanRunWords);
+        run = draws.dataRun.sample(rng_);
     }
 
-    const RefType type = rng_.chance(cfg_.writeFrac)
-        ? RefType::DataWrite
-        : RefType::DataRead;
-    MemRef ref;
-    emit(ref, addr, type, supervisor);
-    queue_.push_back(ref);
+    const RefType type = write_.sample(rng_) ? RefType::DataWrite
+                                             : RefType::DataRead;
+    push(proc, addr, type, supervisor);
     addr += 4;
     if (addr >= seg_base + seg_bytes)
         addr = seg_base;
@@ -213,11 +219,9 @@ SyntheticGen::stepStack(ProcState &proc)
     proc.stackTop = static_cast<Addr>(top);
 
     const Addr off = alignDown(proc.stackTop + rng_.below(48), 4);
-    const RefType type = rng_.chance(0.5) ? RefType::DataWrite
-                                          : RefType::DataRead;
-    MemRef ref;
-    emit(ref, proc.base + stackOffset + off, type, false);
-    queue_.push_back(ref);
+    const RefType type = stackWrite_.sample(rng_) ? RefType::DataWrite
+                                                  : RefType::DataRead;
+    push(proc, proc.base + stackOffset + off, type, false);
 }
 
 void
@@ -231,7 +235,7 @@ SyntheticGen::stepInstruction()
             : static_cast<double>(supRefs_) /
                 static_cast<double>(produced_);
         if (frac < cfg_.osRefFrac)
-            osBurstLeft_ = rng_.geometric(1.0 / cfg_.osBurstInstrs);
+            osBurstLeft_ = osBurst_.sample(rng_);
     }
 
     ProcState &proc = current();
@@ -241,11 +245,12 @@ SyntheticGen::stepInstruction()
 
     const auto &code = supervisor ? cfg_.osCode : cfg_.userCode;
     const auto &data = supervisor ? cfg_.osData : cfg_.userData;
+    const ModeDraws &draws = supervisor ? os_ : user_;
 
-    stepCode(proc, code, supervisor);
-    if (rng_.chance(cfg_.dataRefProb))
-        stepData(proc, data, supervisor);
-    if (!supervisor && rng_.chance(cfg_.stackRefProb))
+    stepCode(proc, code, draws, supervisor);
+    if (dataRef_.sample(rng_))
+        stepData(proc, data, draws, supervisor);
+    if (!supervisor && stackRef_.sample(rng_))
         stepStack(proc);
 }
 
@@ -255,8 +260,8 @@ SyntheticGen::next(MemRef &ref)
     if (produced_ >= cfg_.totalRefs)
         return false;
 
-    if (queuePos_ >= queue_.size()) {
-        queue_.clear();
+    if (queuePos_ == queueLen_) {
+        queueLen_ = 0;
         queuePos_ = 0;
         stepInstruction();
     }

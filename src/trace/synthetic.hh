@@ -134,23 +134,46 @@ class SyntheticGen : public RefSource
     /** Mutable per-address-space generation state. */
     struct ProcState;
 
-    void emit(MemRef &ref, Addr vaddr, RefType type, bool supervisor);
+    /**
+     * One mode's (user or supervisor) fixed-parameter draws, built once
+     * from its code and data segment configurations.
+     */
+    struct ModeDraws
+    {
+        ModeDraws(const CodeSegmentConfig &code,
+                  const DataSegmentConfig &data);
+
+        /** Far-branch targets over function entry points. */
+        ZipfDist functions;
+        /** Data objects a new run starts in. */
+        ZipfDist objects;
+        ChanceDist localBranch;
+        GeometricDist codeRun;
+        GeometricDist dataRun;
+    };
+
+    void push(const ProcState &proc, Addr vaddr, RefType type,
+              bool supervisor);
     /** Run one instruction worth of references into the queue. */
     void stepInstruction();
     void stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
-                  bool supervisor);
+                  const ModeDraws &draws, bool supervisor);
     void stepData(ProcState &proc, const DataSegmentConfig &cfg,
-                  bool supervisor);
+                  const ModeDraws &draws, bool supervisor);
     void stepStack(ProcState &proc);
     ProcState &current();
 
     SyntheticConfig cfg_;
     Rng rng_;
     std::vector<std::unique_ptr<ProcState>> procs_;
-    std::unique_ptr<ZipfDist> userFuncDist_;
-    std::unique_ptr<ZipfDist> userObjDist_;
-    std::unique_ptr<ZipfDist> osFuncDist_;
-    std::unique_ptr<ZipfDist> osObjDist_;
+    ModeDraws user_;
+    ModeDraws os_;
+    ChanceDist dataRef_;
+    ChanceDist stackRef_;
+    ChanceDist write_;
+    /** Stack references are reads or writes with even odds. */
+    ChanceDist stackWrite_{0.5};
+    GeometricDist osBurst_;
 
     std::uint64_t produced_ = 0;
     std::uint64_t supRefs_ = 0;
@@ -158,9 +181,13 @@ class SyntheticGen : public RefSource
     std::uint32_t activeProc_ = 0;
     /** Instructions remaining in the current supervisor burst (0=user). */
     std::uint64_t osBurstLeft_ = 0;
-    /** References queued by stepInstruction, drained by next(). */
-    std::vector<MemRef> queue_;
-    std::size_t queuePos_ = 0;
+    /**
+     * References queued by stepInstruction, drained by next(): one
+     * fetch, at most one data and at most one stack reference.
+     */
+    MemRef queue_[3];
+    std::uint8_t queueLen_ = 0;
+    std::uint8_t queuePos_ = 0;
 };
 
 } // namespace vmp::trace

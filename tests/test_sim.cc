@@ -808,6 +808,137 @@ TEST(Rng, GeometricExtremeProbabilityClampsToMax)
     EXPECT_TRUE(saw_clamp);
 }
 
+TEST(Rng, BelowZeroPanics)
+{
+    Rng rng(5);
+    EXPECT_THROW(rng.below(0), PanicError);
+}
+
+// ------------------------------------------- precomputed fixed-p draws
+
+/**
+ * Probabilities the precomputed Bernoulli draw must agree with
+ * Rng::chance on: both no-draw sides, the smallest positive values,
+ * the trace generator's preset probabilities (data 0.45, stack 0.12,
+ * write 0.30, local branch 0.88/0.8/0.75, stack write 0.5), the
+ * largest double below one, and NaN (chance draws and says false).
+ */
+std::vector<double>
+chanceGrid()
+{
+    return {0.0,
+            -1.0,
+            std::numeric_limits<double>::denorm_min(),
+            0x1.0p-53,
+            1e-9,
+            0.45,
+            0.12,
+            0.30,
+            0.88,
+            0.8,
+            0.75,
+            0.5,
+            std::nextafter(1.0, 0.0),
+            1.0,
+            1.5,
+            std::nan("")};
+}
+
+TEST(ChanceDist, MatchesRngChanceDrawForDraw)
+{
+    for (const double p : chanceGrid()) {
+        const ChanceDist dist(p);
+        Rng a(1000), b(1000);
+        for (int i = 0; i < 20'000; ++i)
+            ASSERT_EQ(dist.sample(b), a.chance(p)) << "p=" << p;
+        // Same draws consumed: both streams are at the same position.
+        EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+    }
+}
+
+TEST(ChanceDist, ThresholdBoundaryIsExact)
+{
+    // Rng::chance(p) tests (raw >> 11) * 2^-53 < p; the threshold
+    // compare must flip at exactly the same raw value.
+    const auto viaUniform = [](std::uint64_t raw, double p) {
+        return static_cast<double>(raw >> 11) * 0x1.0p-53 < p;
+    };
+    for (const double p : chanceGrid()) {
+        if (!(p > 0.0 && p < 1.0))
+            continue;
+        const ChanceDist dist(p);
+        const std::uint64_t t = dist.threshold();
+        ASSERT_GT(t, 0u) << "p=" << p;
+        EXPECT_EQ(t & 0x7ff, 0u) << "p=" << p;
+        EXPECT_TRUE(dist.hit(t - 1)) << "p=" << p;
+        EXPECT_TRUE(viaUniform(t - 1, p)) << "p=" << p;
+        EXPECT_FALSE(dist.hit(t)) << "p=" << p;
+        EXPECT_FALSE(viaUniform(t, p)) << "p=" << p;
+    }
+    // The extremes: only a zero uniform draw is below the smallest
+    // denormal, and every draw but the largest is below 1 - 2^-53.
+    EXPECT_EQ(ChanceDist(std::numeric_limits<double>::denorm_min())
+                  .threshold(),
+              std::uint64_t{1} << 11);
+    EXPECT_EQ(ChanceDist(std::nextafter(1.0, 0.0)).threshold(),
+              ((std::uint64_t{1} << 53) - 1) << 11);
+}
+
+TEST(GeometricDist, MatchesRngGeometricDrawForDraw)
+{
+    // The trace presets' run-length and OS-burst parameters, the
+    // default config's, a fair coin, and two tiny p where the trial
+    // count is astronomically large or saturates. Both are also checked
+    // against the trials formula written out here, one uniform draw
+    // per sample, with log1p(-p) taken on every call.
+    const auto formula = [](Rng &rng, double p) {
+        double u = rng.uniform();
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        const double trials = std::floor(std::log(u) / std::log1p(-p)) + 1.0;
+        return trials >= 0x1.0p64 ? std::numeric_limits<std::uint64_t>::max()
+                                  : static_cast<std::uint64_t>(trials);
+    };
+    const double grid[] = {1.0 / 14, 1.0 / 10, 1.0 / 20, 1.0 / 15,
+                           1.0 / 120, 1.0 / 8, 0.5, 1e-12, 1e-21};
+    for (const double p : grid) {
+        const GeometricDist dist(p);
+        Rng a(7919), b(7919), c(7919);
+        bool saturated = false;
+        for (int i = 0; i < 20'000; ++i) {
+            const auto v = dist.sample(b);
+            ASSERT_EQ(v, a.geometric(p)) << "p=" << p;
+            ASSERT_EQ(v, formula(c, p)) << "p=" << p;
+            saturated =
+                saturated || v == std::numeric_limits<std::uint64_t>::max();
+        }
+        EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+        if (p == 1e-21) {
+            EXPECT_TRUE(saturated);
+        }
+    }
+}
+
+TEST(GeometricDist, CertainSuccessTakesNoDraw)
+{
+    const GeometricDist dist(1.0);
+    Rng a(3), b(3);
+    EXPECT_EQ(dist.sample(a), 1u);
+    EXPECT_EQ(a.geometric(1.0), 1u);
+    // Neither call moved the stream.
+    EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(GeometricDist, RejectsProbabilityOutsideUnitInterval)
+{
+    EXPECT_THROW(GeometricDist(0.0), PanicError);
+    EXPECT_THROW(GeometricDist(-0.5), PanicError);
+    EXPECT_THROW(GeometricDist(1.5), PanicError);
+    EXPECT_THROW(GeometricDist(std::nan("")), PanicError);
+    Rng rng(1);
+    EXPECT_THROW(rng.geometric(0.0), PanicError);
+}
+
 // ------------------------------------------------- histogram underflow
 
 TEST(Stats, HistogramUnderflowCounterKeepsBucketsClean)

@@ -91,8 +91,8 @@ struct BenchOptions
  *                                       (fifo | priority | rr)
  *   --priority-levels N                 bus-request levels (priority)
  *   --help | -h                         print usage and exit
- * Unrecognized arguments are left in argv (bench_simperf forwards
- * them to google-benchmark); @p argc is adjusted accordingly.
+ * Unrecognized arguments are left in argv, where no bench reads them;
+ * @p argc is adjusted accordingly.
  */
 inline BenchOptions
 parseBenchOptions(const std::string &bench_name, int &argc, char **argv)
@@ -146,8 +146,7 @@ parseBenchOptions(const std::string &bench_name, int &argc, char **argv)
                 << "  --priority-levels N bus-request levels "
                    "(priority; default 4)\n"
                 << "  --help, -h       this message\n"
-                << "Unrecognized arguments are forwarded (only "
-                   "bench_simperf consumes them).\n";
+                << "Unrecognized arguments are ignored.\n";
             std::exit(0);
         } else {
             argv[out++] = argv[i];
